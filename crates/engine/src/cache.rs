@@ -20,9 +20,10 @@
 //! tier, a tier hit is *promoted* into memory, and fresh inserts are
 //! forwarded to the tier so they survive the process.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::time::Duration;
 
 use arrayflow_core::CustomSpec;
 use arrayflow_ir::Fingerprint;
@@ -93,6 +94,65 @@ pub trait SecondTier: Send + Sync {
     fn load(&self, key: &CacheKey) -> Option<Arc<AnalysisReport>>;
     /// Persists a freshly computed report. Must not block the caller.
     fn store(&self, key: &CacheKey, report: &Arc<AnalysisReport>);
+}
+
+/// The cold keys being solved right now, for single-flight memoization:
+/// the first caller to claim a key leads its solve, later callers wait
+/// until the leader releases it.
+#[derive(Debug, Default)]
+pub(crate) struct InFlight {
+    keys: Mutex<HashSet<CacheKey>>,
+    released: Condvar,
+}
+
+/// A leader's hold on a cold key. Dropping it — after a successful
+/// insert, a failure, a cancellation or a panic — releases the key and
+/// wakes the waiters.
+pub(crate) struct Claim<'a> {
+    inflight: &'a InFlight,
+    key: CacheKey,
+}
+
+impl InFlight {
+    /// Claims `key` for the caller (`Some`), or, when another caller
+    /// holds it, blocks until that leader releases it (`None`; the caller
+    /// re-probes the cache). Waiting also ends when the waiter's own
+    /// `should_stop` fires (polled every few milliseconds), so a
+    /// cancelled request never waits out a slow leader.
+    pub(crate) fn claim(
+        &self,
+        key: &CacheKey,
+        should_stop: Option<arrayflow_core::StopCheck<'_>>,
+    ) -> Option<Claim<'_>> {
+        let mut keys = self.keys.lock().unwrap_or_else(PoisonError::into_inner);
+        if keys.insert(*key) {
+            return Some(Claim {
+                inflight: self,
+                key: *key,
+            });
+        }
+        while keys.contains(key) && !should_stop.is_some_and(|stop| stop()) {
+            keys = self
+                .released
+                .wait_timeout(keys, Duration::from_millis(5))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        None
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        // Poison-tolerant: this also runs while a panicking solve unwinds.
+        let inflight = self.inflight;
+        inflight
+            .keys
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        inflight.released.notify_all();
+    }
 }
 
 /// Monotonic hit/miss/eviction counters, readable while the cache is in
@@ -370,6 +430,17 @@ impl MemoCache {
         self.counters.promotions.inc();
         self.insert_memory(*key, Arc::clone(&report));
         Some(report)
+    }
+
+    /// A memory-only lookup that counts a hit but never a miss: the
+    /// engine's single-flight path probes with it first and leaves the
+    /// counted [`MemoCache::get`] to the one caller that leads a cold key.
+    pub fn get_hit(&self, key: &CacheKey) -> Option<Arc<AnalysisReport>> {
+        let shard = self.shards[self.shard_of(key)].read().unwrap();
+        let entry = shard.map.get(key)?;
+        entry.referenced.store(true, Ordering::Relaxed);
+        self.counters.hits.inc();
+        Some(Arc::clone(&entry.report))
     }
 
     /// Inserts a freshly computed report, evicting per the policy if the

@@ -6,14 +6,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use arrayflow_analyses::loops_innermost_first;
+use arrayflow_analyses::{loops_innermost_first, AnalyzeError};
 use arrayflow_core::CustomSpec;
 use arrayflow_incremental::{Session, SessionStats, SessionStore, StoreConfig};
-use arrayflow_ir::{fingerprint_loop, Edit, Fingerprint, Program};
+use arrayflow_ir::{fingerprint_loop, Edit, Fingerprint, Loop, Program, SymbolTable};
 use arrayflow_obs::{observed_span, Counter, Gauge, Histogram, Registry, PHASE_BUCKETS_US};
 use arrayflow_resilience::{panic_message, FaultSurface};
 
-use crate::cache::{CacheCounters, CacheKey, EvictionPolicy, MemoCache, SecondTier};
+use crate::cache::{CacheCounters, CacheKey, EvictionPolicy, InFlight, MemoCache, SecondTier};
 use crate::report::{AnalysisReport, InstanceStats, ProblemSet};
 
 /// Upper edges of the per-instance solver pass-count histograms
@@ -210,7 +210,7 @@ impl BatchResult {
 }
 
 /// Aggregate engine statistics since construction.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Programs analyzed.
     pub programs: u64,
@@ -296,9 +296,10 @@ pub struct DeltaReport {
 /// let results = engine.analyze_batch(&programs);
 /// assert_eq!(results.len(), 4);
 /// assert_eq!(results[0].loops[0].report.reuses.len(), 1);
-/// // 4 structurally identical programs dedup onto one cache entry; at
-/// // least 2 are hits (workers may race the very first solve).
-/// assert!(engine.stats().cache.hits >= 2);
+/// // 4 structurally identical programs dedup onto one cache entry:
+/// // one solve, 3 hits — memoization is single-flight, so workers never
+/// // race the first solve.
+/// assert_eq!(engine.stats().cache.hits, 3);
 /// ```
 #[derive(Debug)]
 pub struct Engine {
@@ -308,6 +309,7 @@ pub struct Engine {
     ins: EngineInstruments,
     faults: Option<Arc<dyn FaultSurface>>,
     sessions: SessionStore,
+    inflight: InFlight,
 }
 
 /// The engine's registered instruments. Counters mirror the legacy
@@ -458,6 +460,7 @@ impl Engine {
             ins: EngineInstruments::registered(registry),
             faults: None,
             sessions,
+            inflight: InFlight::default(),
         }
     }
 
@@ -572,6 +575,34 @@ impl Engine {
         dep_max_distance: u64,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> BatchResult {
+        self.analyze_loops(
+            index,
+            program,
+            should_stop,
+            |fingerprint| CacheKey {
+                fingerprint,
+                problems,
+                dep_max_distance,
+                custom: None,
+            },
+            |l, symbols| {
+                AnalysisReport::of_loop_ctrl(l, symbols, problems, dep_max_distance, should_stop)
+            },
+        )
+    }
+
+    /// The per-program driver shared by the canned and custom paths:
+    /// normalizes a private copy, then answers every loop (innermost
+    /// first) from [`Engine::memo`] under the cache key `key_of` builds,
+    /// solving misses with `solve`.
+    fn analyze_loops(
+        &self,
+        index: usize,
+        program: &Program,
+        should_stop: Option<arrayflow_core::StopCheck<'_>>,
+        key_of: impl Fn(Fingerprint) -> CacheKey,
+        solve: impl Fn(&Loop, &SymbolTable) -> Result<AnalysisReport, AnalyzeError>,
+    ) -> BatchResult {
         let start = Instant::now();
         let mut stats = QueryStats::default();
         let mut error: Option<AnalysisError> = None;
@@ -589,74 +620,25 @@ impl Engine {
         let mut loops = Vec::new();
         for l in loops_innermost_first(&p) {
             let fingerprint = fingerprint_loop(l, &p.symbols);
-            let key = CacheKey {
-                fingerprint,
-                problems,
-                dep_max_distance,
-                custom: None,
-            };
-            let hit = {
-                let _span = observed_span("cache_get", &self.ins.phase_cache_get);
-                self.cache.get(&key)
-            };
-            let report = if let Some(hit) = hit {
-                stats.cache_hits += 1;
-                hit
-            } else {
-                stats.cache_misses += 1;
-                let solved = {
-                    let _span = observed_span("solve", &self.ins.phase_solve);
-                    if let Some(faults) = &self.faults {
-                        if let Some(delay) = faults.solve_latency() {
-                            std::thread::sleep(delay);
-                        }
-                        if faults.solver_panic() {
-                            panic!("injected solver fault");
-                        }
-                    }
-                    AnalysisReport::of_loop_ctrl(
-                        l,
-                        &p.symbols,
-                        problems,
-                        dep_max_distance,
-                        should_stop,
-                    )
-                };
-                match solved {
-                    Ok(r) => {
-                        stats.solver_passes += r.solver_passes() as u64;
-                        stats.node_visits += r.node_visits() as u64;
-                        for (problem, s) in r.instance_stats() {
-                            if let Some(h) = self.ins.pass_histogram(problem) {
-                                h.observe(passes_to_fix(&s));
-                            }
-                        }
-                        let r = Arc::new(r);
-                        {
-                            let _span = observed_span("cache_insert", &self.ins.phase_cache_insert);
-                            self.cache.insert(key, Arc::clone(&r));
-                        }
-                        r
-                    }
-                    Err(arrayflow_analyses::AnalyzeError::Stopped { passes }) => {
-                        // Wasted passes are real executed work — count them
-                        // in the effort counters, but never in the pass
-                        // histograms (those state the paper's bound over
-                        // *completed* instances) and never in any cache.
-                        stats.solver_passes += passes;
-                        error.get_or_insert(AnalysisError::Cancelled { passes });
-                        break;
-                    }
-                    Err(e) => {
-                        error.get_or_insert_with(|| AnalysisError::Analysis(e.to_string()));
-                        continue;
-                    }
+            let key = key_of(fingerprint);
+            match self.memo(&key, &mut stats, should_stop, || solve(l, &p.symbols)) {
+                Ok(report) => loops.push(LoopReport {
+                    fingerprint,
+                    report,
+                }),
+                Err(AnalyzeError::Stopped { passes }) => {
+                    // Wasted passes are real executed work — count them
+                    // in the effort counters, but never in the pass
+                    // histograms (those state the paper's bound over
+                    // *completed* instances) and never in any cache.
+                    stats.solver_passes += passes;
+                    error.get_or_insert(AnalysisError::Cancelled { passes });
+                    break;
                 }
-            };
-            loops.push(LoopReport {
-                fingerprint,
-                report,
-            });
+                Err(e) => {
+                    error.get_or_insert_with(|| AnalysisError::Analysis(e.to_string()));
+                }
+            }
         }
 
         stats.micros = start.elapsed().as_micros() as u64;
@@ -672,6 +654,78 @@ impl Engine {
             error,
             stats,
         }
+    }
+
+    /// One loop's memoized report, single-flight. A warm key is answered
+    /// from the cache tiers. A cold key is solved by exactly one caller —
+    /// the leader, which registers it in the in-flight table — while every
+    /// concurrent caller of the same key waits for the leader and then
+    /// reads its report from the cache. A leader that is cancelled, fails
+    /// or panics caches nothing and releases the key, so a waiter takes
+    /// over the solve. Every call counts exactly one cache hit or miss
+    /// (a waiter stopped by its own `should_stop` counts neither), so the
+    /// counters and solver work do not depend on how many workers race.
+    fn memo(
+        &self,
+        key: &CacheKey,
+        stats: &mut QueryStats,
+        should_stop: Option<arrayflow_core::StopCheck<'_>>,
+        solve: impl FnOnce() -> Result<AnalysisReport, AnalyzeError>,
+    ) -> Result<Arc<AnalysisReport>, AnalyzeError> {
+        let memory_hit = || {
+            let _span = observed_span("cache_get", &self.ins.phase_cache_get);
+            self.cache.get_hit(key)
+        };
+        let _claim = loop {
+            if let Some(hit) = memory_hit() {
+                stats.cache_hits += 1;
+                return Ok(hit);
+            }
+            if let Some(claim) = self.inflight.claim(key, should_stop) {
+                break claim;
+            }
+            if should_stop.is_some_and(|stop| stop()) {
+                return Err(AnalyzeError::Stopped { passes: 0 });
+            }
+        };
+        // The leader's lookup is the counted one: a hit if another leader
+        // landed the key in between (or the second tier holds it), else
+        // the miss this call solves.
+        let hit = {
+            let _span = observed_span("cache_get", &self.ins.phase_cache_get);
+            self.cache.get(key)
+        };
+        if let Some(hit) = hit {
+            stats.cache_hits += 1;
+            return Ok(hit);
+        }
+        stats.cache_misses += 1;
+        let r = {
+            let _span = observed_span("solve", &self.ins.phase_solve);
+            if let Some(faults) = &self.faults {
+                if let Some(delay) = faults.solve_latency() {
+                    std::thread::sleep(delay);
+                }
+                if faults.solver_panic() {
+                    panic!("injected solver fault");
+                }
+            }
+            solve()?
+        };
+        stats.solver_passes += r.solver_passes() as u64;
+        stats.node_visits += r.node_visits() as u64;
+        for (problem, s) in r.instance_stats() {
+            if let Some(h) = self.ins.pass_histogram(problem) {
+                h.observe(passes_to_fix(&s));
+            }
+        }
+        let r = Arc::new(r);
+        {
+            let _span = observed_span("cache_insert", &self.ins.phase_cache_insert);
+            self.cache.insert(*key, Arc::clone(&r));
+        }
+        // `_claim` drops here, after the insert: waiters wake to a hit.
+        Ok(r)
     }
 
     /// When a wire-submitted spec names one of the canned instances, the
@@ -761,99 +815,20 @@ impl Engine {
         dep_max_distance: u64,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> BatchResult {
-        let start = Instant::now();
-        let mut stats = QueryStats::default();
-        let mut error: Option<AnalysisError> = None;
-
-        let mut p = program.clone();
-        {
-            let _span = observed_span("normalize", &self.ins.phase_normalize);
-            arrayflow_ir::normalize(&mut p);
-            p.renumber();
-        }
-
-        let mut loops = Vec::new();
-        for l in loops_innermost_first(&p) {
-            let fingerprint = fingerprint_loop(l, &p.symbols);
-            let key = CacheKey {
+        self.analyze_loops(
+            index,
+            program,
+            should_stop,
+            |fingerprint| CacheKey {
                 fingerprint,
                 problems: ProblemSet::NONE,
                 dep_max_distance,
                 custom: Some(spec),
-            };
-            let hit = {
-                let _span = observed_span("cache_get", &self.ins.phase_cache_get);
-                self.cache.get(&key)
-            };
-            let report = if let Some(hit) = hit {
-                stats.cache_hits += 1;
-                hit
-            } else {
-                stats.cache_misses += 1;
-                let solved = {
-                    let _span = observed_span("solve", &self.ins.phase_solve);
-                    if let Some(faults) = &self.faults {
-                        if let Some(delay) = faults.solve_latency() {
-                            std::thread::sleep(delay);
-                        }
-                        if faults.solver_panic() {
-                            panic!("injected solver fault");
-                        }
-                    }
-                    AnalysisReport::of_custom_ctrl(
-                        l,
-                        &p.symbols,
-                        spec,
-                        dep_max_distance,
-                        should_stop,
-                    )
-                };
-                match solved {
-                    Ok(r) => {
-                        stats.solver_passes += r.solver_passes() as u64;
-                        stats.node_visits += r.node_visits() as u64;
-                        for (problem, s) in r.instance_stats() {
-                            if let Some(h) = self.ins.pass_histogram(problem) {
-                                h.observe(passes_to_fix(&s));
-                            }
-                        }
-                        let r = Arc::new(r);
-                        {
-                            let _span = observed_span("cache_insert", &self.ins.phase_cache_insert);
-                            self.cache.insert(key, Arc::clone(&r));
-                        }
-                        r
-                    }
-                    Err(arrayflow_analyses::AnalyzeError::Stopped { passes }) => {
-                        stats.solver_passes += passes;
-                        error.get_or_insert(AnalysisError::Cancelled { passes });
-                        break;
-                    }
-                    Err(e) => {
-                        error.get_or_insert_with(|| AnalysisError::Analysis(e.to_string()));
-                        continue;
-                    }
-                }
-            };
-            loops.push(LoopReport {
-                fingerprint,
-                report,
-            });
-        }
-
-        stats.micros = start.elapsed().as_micros() as u64;
-        self.ins.programs.inc();
-        self.ins.loops.add(stats.cache_hits + stats.cache_misses);
-        self.ins.solver_passes.add(stats.solver_passes);
-        self.ins.node_visits.add(stats.node_visits);
-        self.ins.busy_us.add(stats.micros);
-
-        BatchResult {
-            index,
-            loops,
-            error,
-            stats,
-        }
+            },
+            |l, symbols| {
+                AnalysisReport::of_custom_ctrl(l, symbols, spec, dep_max_distance, should_stop)
+            },
+        )
     }
 
     /// The fingerprint-first fast path: probes the memo cache (and, on a

@@ -1,30 +1,30 @@
-//! The binary protocol's service-side half: maps `AFWIRE01` frames
-//! (decoded by `arrayflow-wire`) onto the same [`Service`] core the JSON
-//! transport uses — same worker pool, same counters, same error taxonomy.
+//! The binary protocol's service-side half: strips the deadline prefix
+//! of an `AFWIRE01` frame, decodes it with `arrayflow-wire` into the same
+//! typed request a JSON line decodes into, hands it to the one
+//! [`Service`] dispatcher, and encodes the outcome as a response frame —
+//! same worker pool, same counters, same error taxonomy as JSON.
 //!
-//! The one thing this path has that JSON does not: a **fingerprint-first
-//! fast path**. An analyze request carrying a client-precomputed
-//! fingerprint probes the memo cache (and, through it, the persistent
-//! tier) *before* any parse or normalize work; on a hit the stored report
-//! encoding ships back directly, and the request never touches the worker
-//! pool.
+//! Analysis reports travel as store-codec bytes. A request carrying a
+//! client-precomputed fingerprint takes the dispatcher's
+//! **fingerprint-first** path: the memo cache (and, through it, the
+//! persistent tier) is probed *before* any parse or normalize work, and a
+//! hit never touches the worker pool. JSON requests carry no analyze
+//! fingerprint; the cluster router adds one when it forwards them.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use arrayflow_engine::{CustomSpec, ProblemSet};
-use arrayflow_ir::{Edit, Fingerprint, StmtId};
 use arrayflow_obs::{observed_span, Trace};
 use arrayflow_resilience::CancelToken;
 use arrayflow_store::codec::encode_report;
 use arrayflow_wire::encode_frame;
 use arrayflow_wire::proto::{
-    strip_deadline, AnalyzeOk, AnalyzeRequest, CustomRequest, DeltaOk, LoopEntry, Request,
-    Response, SessionOk,
+    strip_deadline, AnalyzeOk, DeltaOk, LoopEntry, Request, Response, SessionOk,
 };
 
+use crate::json::Json;
 use crate::proto::{ErrorKind, ServiceError};
-use crate::service::{JobOutput, Service, Work};
+use crate::service::{Outcome, Service};
 
 /// The outcome of handling one binary frame.
 pub struct BinaryResponse {
@@ -104,478 +104,96 @@ impl Service {
         let trace = self.begin_trace();
         // The deadline prefix is framing, not request content: strip it
         // before the request decoder sees the payload. A frame whose
-        // prefix fails to decode is hostile by definition.
-        let (tag, budget_ms, offset) = match strip_deadline(tag, payload) {
-            Ok(parts) => parts,
-            Err(e) => {
-                let resp =
-                    err_response(0, ErrorKind::Protocol, format!("bad deadline prefix: {e}"));
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
+        // prefix fails to decode is hostile by definition. The id of a
+        // frame that fails to decode cannot be recovered; 0 is the
+        // protocol's "unattributable" id.
+        let decoded = strip_deadline(tag, payload)
+            .map_err(|e| format!("bad deadline prefix: {e}"))
+            .and_then(|(tag, budget_ms, offset)| {
+                let _span = observed_span("decode", &self.ins().phase_decode);
+                Request::decode(tag, &payload[offset..])
+                    .map(|req| (req, budget_ms))
+                    .map_err(|e| format!("bad frame: {e}"))
+            });
+        let (req, budget_ms) = match decoded {
+            Ok(decoded) => decoded,
+            Err(message) => {
+                let e = ServiceError::new(ErrorKind::Protocol, message);
+                return respond(self.finish_binary(&trace, accepted, 0, Err(e)));
             }
         };
-        let payload = &payload[offset..];
-        let decoded = {
-            let _span = observed_span("decode", &self.ins().phase_decode);
-            Request::decode(tag, payload)
-        };
-        let req = match decoded {
-            Err(e) => {
-                // The id could not be recovered from a frame that failed to
-                // decode; 0 is the protocol's "unattributable" id.
-                let resp = err_response(0, ErrorKind::Protocol, format!("bad frame: {e}"));
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-            Ok(req) => req,
-        };
-        match req {
-            Request::Ping { id } => {
-                let resp = Response::Text {
-                    id,
-                    text: "pong".into(),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Stats { id } => {
-                let resp = Response::Text {
-                    id,
-                    text: self.stats_json().to_string(),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Metrics { id } => {
-                // Binary metrics ship the Prometheus exposition directly —
-                // the form a scraper wants, with no JSON wrapper to unpick.
-                let resp = Response::Text {
-                    id,
-                    text: self.render_exposition(),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Health { id } => {
-                let resp = Response::Text {
-                    id,
-                    text: self.health_json().to_string(),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Replicate { id, batch } => {
-                let resp = match self.apply_replica_batch(&batch) {
-                    Ok(json) => Response::Text {
-                        id,
-                        text: json.to_string(),
-                    },
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Compact { id } => {
-                let resp = match self.compact_store() {
-                    Ok(json) => Response::Text {
-                        id,
-                        text: json.to_string(),
-                    },
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Shutdown { id } => {
-                self.shutdown();
-                let resp = Response::Text {
-                    id,
-                    text: "shutting down".into(),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, true));
-            }
-            Request::Analyze(a) => {
-                self.analyze_binary(a, budget_ms, cancel, accepted, trace, respond)
-            }
-            Request::Custom(c) => {
-                self.custom_binary(c, budget_ms, cancel, accepted, trace, respond)
-            }
-            Request::Open { id, source } => {
-                self.open_binary(id, source, budget_ms, cancel, accepted, trace, respond)
-            }
-            // The carried fingerprint is the router's shard key; the node
-            // itself resolves the session by id alone.
-            Request::Delta {
-                id,
-                session,
-                fingerprint: _,
-                stmt,
-                text,
-            } => self.delta_binary(
-                id, session, stmt, text, budget_ms, cancel, accepted, trace, respond,
-            ),
-        }
-    }
-
-    /// An `open` frame: UTF-8-check the source, then run the full
-    /// analysis + session retention through the worker queue.
-    #[allow(clippy::too_many_arguments)]
-    fn open_binary(
-        self: &Arc<Self>,
-        id: u64,
-        source: Vec<u8>,
-        budget_ms: Option<u64>,
-        cancel: CancelToken,
-        accepted: Instant,
-        trace: Arc<Trace>,
-        respond: Box<dyn FnOnce(BinaryResponse) + Send>,
-    ) {
-        let source = match String::from_utf8(source) {
-            Ok(s) => s,
-            Err(_) => {
-                let resp = err_response(id, ErrorKind::Parse, "program source is not valid UTF-8");
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        };
-        let deadline = self.effective_deadline(budget_ms);
+        let id = req.id();
         let svc = Arc::clone(self);
-        let trace_done = Arc::clone(&trace);
-        self.submit_async(
-            Work::Open { program: source },
+        let done_trace = Arc::clone(&trace);
+        self.dispatch(
+            req,
+            budget_ms,
             accepted,
-            deadline,
             cancel,
             trace,
-            Box::new(move |outcome| {
-                let resp = match outcome {
-                    Ok(JobOutput::Session(session, report)) => Response::Session(SessionOk {
-                        id,
-                        session,
-                        fingerprint: report.fingerprint.0.to_le_bytes(),
-                        report: encode_report(&report),
-                    }),
-                    Ok(_) => err_response(id, ErrorKind::Protocol, "internal: job output mismatch"),
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(svc.finish_binary(&trace_done, accepted, resp, false));
-            }),
+            Box::new(move |outcome| respond(svc.finish_binary(&done_trace, accepted, id, outcome))),
         );
     }
 
-    /// A `delta` frame: UTF-8-check the replacement text, then re-converge
-    /// the session through the worker queue.
-    #[allow(clippy::too_many_arguments)]
-    fn delta_binary(
-        self: &Arc<Self>,
-        id: u64,
-        session: u64,
-        stmt: u64,
-        text: Vec<u8>,
-        budget_ms: Option<u64>,
-        cancel: CancelToken,
-        accepted: Instant,
-        trace: Arc<Trace>,
-        respond: Box<dyn FnOnce(BinaryResponse) + Send>,
-    ) {
-        let text = match String::from_utf8(text) {
-            Ok(s) => s,
-            Err(_) => {
-                let resp = err_response(id, ErrorKind::Parse, "edit text is not valid UTF-8");
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        };
-        let edit = Edit {
-            // Out-of-u32-range ids name nothing; saturate into a clean
-            // "no such statement" rejection instead of wrapping.
-            stmt: StmtId(u32::try_from(stmt).unwrap_or(u32::MAX)),
-            text,
-        };
-        let deadline = self.effective_deadline(budget_ms);
-        let svc = Arc::clone(self);
-        let trace_done = Arc::clone(&trace);
-        self.submit_async(
-            Work::Delta { session, edit },
-            accepted,
-            deadline,
-            cancel,
-            trace,
-            Box::new(move |outcome| {
-                let resp = match outcome {
-                    Ok(JobOutput::Delta(d)) => Response::Delta(DeltaOk {
-                        id,
-                        session: d.session,
-                        fingerprint: d.fingerprint.0.to_le_bytes(),
-                        report: encode_report(&d.report),
-                        fallback: d.fallback,
-                        dirty_columns: d.dirty_columns as u64,
-                        total_columns: d.total_columns as u64,
-                    }),
-                    Ok(_) => err_response(id, ErrorKind::Protocol, "internal: job output mismatch"),
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(svc.finish_binary(&trace_done, accepted, resp, false));
-            }),
-        );
-    }
-
-    fn analyze_binary(
-        self: &Arc<Self>,
-        req: AnalyzeRequest,
-        budget_ms: Option<u64>,
-        cancel: CancelToken,
-        accepted: Instant,
-        trace: Arc<Trace>,
-        respond: Box<dyn FnOnce(BinaryResponse) + Send>,
-    ) {
-        let id = req.id;
-        let deadline = self.effective_deadline(budget_ms);
-        let problems = match req.problems {
-            None => self.config().engine.problems,
-            Some(bits) => match ProblemSet::from_bits(bits) {
-                Some(p) => p,
-                None => {
-                    let resp = err_response(
-                        id,
-                        ErrorKind::Protocol,
-                        format!("bad problem-set bits {bits:#06b}"),
-                    );
-                    respond(self.finish_binary(&trace, accepted, resp, false));
-                    return;
-                }
-            },
-        };
-        let distance_bound = req
-            .distance_bound
-            .unwrap_or(self.config().engine.dep_max_distance);
-
-        // Fingerprint-first: probe the cache tiers before any parse work.
-        if let Some(fp_bytes) = req.fingerprint {
-            let fp = Fingerprint(u128::from_le_bytes(fp_bytes));
-            if let Some(report) = self
-                .engine()
-                .analyze_by_fingerprint(fp, problems, distance_bound)
-            {
-                let resp = Response::Analyze(AnalyzeOk {
-                    id,
-                    loops: vec![LoopEntry {
-                        fingerprint: fp_bytes,
-                        report: encode_report(&report),
-                    }],
-                    cache_hits: 1,
-                    cache_misses: 0,
-                    solver_passes: 0,
-                    node_visits: 0,
-                });
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        }
-
-        // Miss (or no fingerprint): full analysis needs source.
-        let source = match req.source {
-            Some(src) => match String::from_utf8(src) {
-                Ok(s) => s,
-                Err(_) => {
-                    let resp =
-                        err_response(id, ErrorKind::Parse, "program source is not valid UTF-8");
-                    respond(self.finish_binary(&trace, accepted, resp, false));
-                    return;
-                }
-            },
-            None => {
-                let resp = err_response(
-                    id,
-                    ErrorKind::Analysis,
-                    "unknown fingerprint (supply program source to analyze)",
-                );
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        };
-
-        let svc = Arc::clone(self);
-        let trace_done = Arc::clone(&trace);
-        self.submit_async(
-            Work::Analyze {
-                program: source,
-                problems,
-                distance_bound,
-            },
-            accepted,
-            deadline,
-            cancel,
-            trace,
-            Box::new(move |outcome| {
-                let resp = match outcome {
-                    Ok(JobOutput::Analyze(result)) => Response::Analyze(AnalyzeOk {
-                        id,
-                        loops: result
-                            .loops
-                            .iter()
-                            .map(|l| LoopEntry {
-                                fingerprint: l.fingerprint.0.to_le_bytes(),
-                                report: encode_report(&l.report),
-                            })
-                            .collect(),
-                        cache_hits: result.stats.cache_hits,
-                        cache_misses: result.stats.cache_misses,
-                        solver_passes: result.stats.solver_passes,
-                        node_visits: result.stats.node_visits,
-                    }),
-                    Ok(_) => err_response(id, ErrorKind::Protocol, "internal: job output mismatch"),
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(svc.finish_binary(&trace_done, accepted, resp, false));
-            }),
-        );
-    }
-
-    /// A `custom` frame: re-validate the spec byte and distance bound
-    /// (defense in depth behind the wire decoder — both checks reject,
-    /// never panic), probe the cache tiers by fingerprint when one came
-    /// along, and otherwise run the user's (G, K) problem through the
-    /// worker queue.
-    fn custom_binary(
-        self: &Arc<Self>,
-        req: CustomRequest,
-        budget_ms: Option<u64>,
-        cancel: CancelToken,
-        accepted: Instant,
-        trace: Arc<Trace>,
-        respond: Box<dyn FnOnce(BinaryResponse) + Send>,
-    ) {
-        let id = req.id;
-        let deadline = self.effective_deadline(budget_ms);
-        let Some(spec) = CustomSpec::from_bits(req.spec) else {
-            let resp = err_response(
-                id,
-                ErrorKind::Protocol,
-                format!("bad custom-spec bits {:#08b}", req.spec),
-            );
-            respond(self.finish_binary(&trace, accepted, resp, false));
-            return;
-        };
-        let distance_bound = req
-            .distance_bound
-            .unwrap_or(self.config().engine.dep_max_distance);
-        if distance_bound > CustomSpec::MAX_DISTANCE_BOUND {
-            let resp = err_response(
-                id,
-                ErrorKind::Protocol,
-                format!(
-                    "distance bound {distance_bound} exceeds the {} cap",
-                    CustomSpec::MAX_DISTANCE_BOUND
-                ),
-            );
-            respond(self.finish_binary(&trace, accepted, resp, false));
-            return;
-        }
-
-        // Fingerprint-first: the custom key probes the same tiers.
-        if let Some(fp_bytes) = req.fingerprint {
-            let fp = Fingerprint(u128::from_le_bytes(fp_bytes));
-            if let Some(report) =
-                self.engine()
-                    .analyze_custom_by_fingerprint(fp, spec, distance_bound)
-            {
-                let resp = Response::Analyze(AnalyzeOk {
-                    id,
-                    loops: vec![LoopEntry {
-                        fingerprint: fp_bytes,
-                        report: encode_report(&report),
-                    }],
-                    cache_hits: 1,
-                    cache_misses: 0,
-                    solver_passes: 0,
-                    node_visits: 0,
-                });
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        }
-
-        let source = match req.source {
-            Some(src) => match String::from_utf8(src) {
-                Ok(s) => s,
-                Err(_) => {
-                    let resp =
-                        err_response(id, ErrorKind::Parse, "program source is not valid UTF-8");
-                    respond(self.finish_binary(&trace, accepted, resp, false));
-                    return;
-                }
-            },
-            None => {
-                let resp = err_response(
-                    id,
-                    ErrorKind::Analysis,
-                    "unknown fingerprint (supply program source to analyze)",
-                );
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        };
-
-        let svc = Arc::clone(self);
-        let trace_done = Arc::clone(&trace);
-        self.submit_async(
-            Work::Custom {
-                program: source,
-                spec,
-                distance_bound,
-            },
-            accepted,
-            deadline,
-            cancel,
-            trace,
-            Box::new(move |outcome| {
-                let resp = match outcome {
-                    Ok(JobOutput::Analyze(result)) => Response::Analyze(AnalyzeOk {
-                        id,
-                        loops: result
-                            .loops
-                            .iter()
-                            .map(|l| LoopEntry {
-                                fingerprint: l.fingerprint.0.to_le_bytes(),
-                                report: encode_report(&l.report),
-                            })
-                            .collect(),
-                        cache_hits: result.stats.cache_hits,
-                        cache_misses: result.stats.cache_misses,
-                        solver_passes: result.stats.solver_passes,
-                        node_visits: result.stats.node_visits,
-                    }),
-                    Ok(_) => err_response(id, ErrorKind::Protocol, "internal: job output mismatch"),
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(svc.finish_binary(&trace_done, accepted, resp, false));
-            }),
-        );
-    }
-
-    /// The binary counterpart of `finish_json`: outcome counters, latency
-    /// histogram, slow-request log, then the encoded frame.
+    /// The binary counterpart of `finish_json`: encodes the response
+    /// frame, then the same outcome counters, latency histogram and
+    /// slow-request log.
     fn finish_binary(
         &self,
         trace: &Arc<Trace>,
         accepted: Instant,
-        resp: Response,
-        is_shutdown: bool,
+        id: u64,
+        outcome: Result<Outcome, ServiceError>,
     ) -> BinaryResponse {
-        let (outcome_name, cancelled) = match &resp {
-            Response::Err { kind, .. } => {
-                let kind = kind_from_byte(*kind).unwrap_or(ErrorKind::Protocol);
-                self.counter_for(kind).inc();
-                (kind.as_str(), kind == ErrorKind::Cancelled)
-            }
-            _ => {
-                self.ins().ok.inc();
-                ("ok", false)
-            }
-        };
-        // Same accounting as the JSON path: cancelled work keeps its own
-        // counters and never skews `requests` or the latency histogram.
-        if !cancelled {
-            self.observe_request(trace, accepted, outcome_name);
-        }
-        BinaryResponse {
-            frame: frame_of(&resp),
-            shutdown: is_shutdown && !matches!(resp, Response::Err { .. }),
+        let shutdown = matches!(outcome, Ok(Outcome::Shutdown));
+        let counted = self.count_outcome(&outcome);
+        let frame = frame_of(&self.binary_response(id, outcome));
+        self.observe_outcome(trace, accepted, counted);
+        BinaryResponse { frame, shutdown }
+    }
+
+    /// The binary encoder of an [`Outcome`]: reports travel as store-codec
+    /// bytes, text bodies as UTF-8.
+    fn binary_response(&self, id: u64, outcome: Result<Outcome, ServiceError>) -> Response {
+        let text = |text: String| Response::Text { id, text };
+        match outcome {
+            Err(e) => err_response(id, e.kind, e.message),
+            Ok(Outcome::Text(Json::Str(s))) => text(s),
+            Ok(Outcome::Text(json)) => text(json.to_string()),
+            // Binary metrics ship the Prometheus exposition directly — the
+            // form a scraper wants, with no JSON wrapper to unpick.
+            Ok(Outcome::Metrics) => text(self.render_exposition()),
+            Ok(Outcome::Shutdown) => text("shutting down".into()),
+            Ok(Outcome::Analyze(result)) => Response::Analyze(AnalyzeOk {
+                id,
+                loops: result
+                    .loops
+                    .iter()
+                    .map(|l| LoopEntry {
+                        fingerprint: l.fingerprint.0.to_le_bytes(),
+                        report: encode_report(&l.report),
+                    })
+                    .collect(),
+                cache_hits: result.stats.cache_hits,
+                cache_misses: result.stats.cache_misses,
+                solver_passes: result.stats.solver_passes,
+                node_visits: result.stats.node_visits,
+            }),
+            Ok(Outcome::Session(session, report)) => Response::Session(SessionOk {
+                id,
+                session,
+                fingerprint: report.fingerprint.0.to_le_bytes(),
+                report: encode_report(&report),
+            }),
+            Ok(Outcome::Delta(d)) => Response::Delta(DeltaOk {
+                id,
+                session: d.session,
+                fingerprint: d.fingerprint.0.to_le_bytes(),
+                report: encode_report(&d.report),
+                fallback: d.fallback,
+                dirty_columns: d.dirty_columns as u64,
+                total_columns: d.total_columns as u64,
+            }),
         }
     }
 
@@ -609,6 +227,8 @@ pub fn error_frame(id: u64, e: &ServiceError) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
+    use arrayflow_engine::{CustomSpec, ProblemSet};
+    use arrayflow_wire::proto::{AnalyzeRequest, CustomRequest};
     use std::sync::mpsc;
 
     const SRC: &str = "do i = 1, 100 A[i+2] := A[i] + x; end";

@@ -503,7 +503,7 @@ fn feed_decided(
                     }
                     JsonEvent::Line(line) => {
                         let (completions, waker) = (Arc::clone(completions), waker.clone());
-                        service.handle_frame_async_ctrl(
+                        service.handle_frame_async(
                             &line,
                             conn.cancel.clone(),
                             Box::new(move |resp| {

@@ -9,9 +9,14 @@
 //! answered from the shared memoizing [`Engine`](arrayflow_engine::Engine)
 //! whenever an alpha-equivalent loop has been analyzed before.
 //!
-//! The wire format is newline-framed JSON (see [`proto`]), implemented
-//! with the in-crate encoder/decoder in [`json`] — the workspace builds
-//! with zero external dependencies. Robustness is the design center:
+//! Two wire formats share one request model: newline-framed JSON (see
+//! [`proto`], implemented with the in-crate encoder/decoder in [`json`]
+//! — the workspace builds with zero external dependencies) and the
+//! `AFWIRE01` binary protocol (see [`binproto`]). Both decode into the
+//! typed [`arrayflow_wire::proto::Request`] and run through one
+//! dispatcher whose outcome is encoded back in the request's protocol,
+//! so every verb — the fingerprint-first cache probe included — behaves
+//! the same on both. Robustness is the design center:
 //!
 //! * a **bounded in-flight queue** with explicit `overloaded` errors on
 //!   backpressure, never unbounded buffering;
@@ -79,7 +84,7 @@ pub use client::{Client, ClientConfig, ClientError, OpenedSession};
 #[cfg(unix)]
 pub use event_server::{EventServer, ProtoMode};
 pub use json::{Json, JsonError};
-pub use proto::{ErrorKind, Request, ServiceError, Verb};
+pub use proto::{ErrorKind, Request, ServiceError};
 pub use router::{Router, RouterConfig, RouterServer};
 pub use server::{run_stdio, Frame, FrameReader, Server};
 pub use service::{FrameResponse, Service, ServiceConfig, ServiceStats, LATENCY_BUCKETS_US};

@@ -28,63 +28,24 @@
 //! the cluster router's shard key), `stmt` (the statement id to replace)
 //! and `text` (replacement source). Errors come back structured, never as
 //! a dropped connection: [`ErrorKind`] is the taxonomy.
+//!
+//! A line decodes into the same typed request an `AFWIRE01` frame does
+//! ([`arrayflow_wire::proto::Request`]), wrapped in the JSON-only
+//! [`Request`] envelope (the echoed `id` and the `deadline_ms` budget).
+//! One dispatcher serves both protocols; this module holds the JSON
+//! encoder of its results.
 
 use std::fmt;
 
 use arrayflow_engine::{
     AnalysisReport, BatchResult, CustomSpec, DeltaReport, Direction, Mode, ProblemSet,
 };
+use arrayflow_wire::proto::{
+    AnalyzeRequest, CustomRequest, Request as WireRequest, TAG_ANALYZE, TAG_COMPACT, TAG_CUSTOM,
+    TAG_DELTA, TAG_HEALTH, TAG_METRICS, TAG_OPEN, TAG_PING, TAG_SHUTDOWN, TAG_STATS,
+};
 
 use crate::json::Json;
-
-/// What a request asks the service to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verb {
-    /// Parse `program` and analyze every loop.
-    Analyze,
-    /// Parse `program` and solve a user-specified (G, K) problem over
-    /// every loop: the request's `spec` object picks which site roles
-    /// generate and kill, the direction, and the confluence mode.
-    Custom,
-    /// Open an incremental analysis session over `program`: full
-    /// analysis now, converged lattice state retained for `delta`.
-    Open,
-    /// Apply one statement replacement to an open session and
-    /// re-converge from the cached fixed point.
-    Delta,
-    /// Report engine + service statistics.
-    Stats,
-    /// Report every registered metric: structured JSON plus the
-    /// Prometheus text exposition.
-    Metrics,
-    /// Liveness check; echoes `"pong"`.
-    Ping,
-    /// Node health + identity: `{"status": "ok", "node": ..., "shutting_down": ...}`.
-    /// The cluster router's failover probe.
-    Health,
-    /// Compact the persistent report store (requires `--store`).
-    Compact,
-    /// Begin graceful shutdown (drain in-flight work, then exit).
-    Shutdown,
-}
-
-impl Verb {
-    fn parse(s: &str) -> Option<Verb> {
-        match s {
-            "analyze" => Some(Verb::Analyze),
-            "custom" => Some(Verb::Custom),
-            "open" => Some(Verb::Open),
-            "delta" => Some(Verb::Delta),
-            "stats" => Some(Verb::Stats),
-            "metrics" => Some(Verb::Metrics),
-            "ping" => Some(Verb::Ping),
-            "health" => Some(Verb::Health),
-            "compact" => Some(Verb::Compact),
-            "shutdown" => Some(Verb::Shutdown),
-            _ => None,
-        }
-    }
-}
 
 /// The failure classes a response can carry. Everything the server
 /// can get wrong maps onto exactly one of these, so clients can switch on
@@ -181,39 +142,25 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// A decoded request.
+/// A decoded JSON request: the JSON-only envelope around the typed
+/// request both protocols share.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Client-chosen correlation id, echoed back verbatim (any JSON value;
     /// `null` when absent).
     pub id: Json,
-    /// The operation.
-    pub verb: Verb,
-    /// DSL program text (required for `analyze` and `open`).
-    pub program: Option<String>,
-    /// Problem selection (default: all four instances).
-    pub problems: Option<ProblemSet>,
-    /// User-specified (G, K) problem spec (required for `custom`).
-    pub spec: Option<CustomSpec>,
-    /// Dependence distance bound (default: server config).
-    pub distance_bound: Option<u64>,
-    /// Session id from a prior `open` (required for `delta`).
-    pub session: Option<u64>,
-    /// The session's base fingerprint as returned by `open` (required for
-    /// `delta`): 32 hex characters, exactly as responses render it. The
-    /// cluster router hashes it to pin the whole session to one shard; a
-    /// single node ignores it.
-    pub fingerprint: Option<[u8; 16]>,
-    /// Statement id to replace (required for `delta`).
-    pub stmt: Option<u64>,
-    /// Replacement statement source (required for `delta`).
-    pub text: Option<String>,
     /// Client deadline budget in milliseconds, optional on any verb and
     /// ignored by servers predating it (unknown JSON fields are skipped).
     /// Clamped at decode to [`arrayflow_wire::proto::MAX_DEADLINE_MS`];
     /// the server then enforces `min(budget, its own cap)`. Zero means
     /// "already expired" — the request is shed before any work.
     pub deadline_ms: Option<u64>,
+    /// The operation and its fields: the same typed request an `AFWIRE01`
+    /// frame decodes into. Its wire id is 0 — JSON correlates by
+    /// [`Request::id`]. Omitted `problems`/`distance_bound` stay `None`
+    /// (server defaults apply); a `fingerprint` is carried only by
+    /// `delta`, where it is the cluster router's shard key.
+    pub body: WireRequest,
 }
 
 impl Request {
@@ -233,37 +180,37 @@ impl Request {
         if !matches!(v, Json::Obj(_)) {
             return Err(fail("request must be a JSON object".into()));
         }
-        let verb_str = v
+        let verb = v
             .get("verb")
             .and_then(Json::as_str)
             .ok_or_else(|| fail("missing or non-string `verb`".into()))?;
-        let verb =
-            Verb::parse(verb_str).ok_or_else(|| fail(format!("unknown verb `{verb_str}`")))?;
+        let tag = match verb {
+            "analyze" => TAG_ANALYZE,
+            "custom" => TAG_CUSTOM,
+            "open" => TAG_OPEN,
+            "delta" => TAG_DELTA,
+            "stats" => TAG_STATS,
+            "metrics" => TAG_METRICS,
+            "ping" => TAG_PING,
+            "health" => TAG_HEALTH,
+            "compact" => TAG_COMPACT,
+            "shutdown" => TAG_SHUTDOWN,
+            _ => return Err(fail(format!("unknown verb `{verb}`"))),
+        };
 
         let program = match v.get("program") {
             None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(s.clone()),
+            Some(Json::Str(s)) => Some(s.clone().into_bytes()),
             Some(_) => return Err(fail("`program` must be a string".into())),
         };
-        if verb == Verb::Analyze && program.is_none() {
-            return Err(fail("`analyze` requires a `program` string".into()));
-        }
-        if verb == Verb::Custom && program.is_none() {
-            return Err(fail("`custom` requires a `program` string".into()));
-        }
-        if verb == Verb::Open && program.is_none() {
-            return Err(fail("`open` requires a `program` string".into()));
+        if program.is_none() && matches!(tag, TAG_ANALYZE | TAG_CUSTOM | TAG_OPEN) {
+            return Err(fail(format!("`{verb}` requires a `program` string")));
         }
 
         let problems = match v.get("problems") {
             None | Some(Json::Null) => None,
             Some(Json::Arr(items)) => {
-                let mut set = ProblemSet {
-                    reaching: false,
-                    available: false,
-                    busy: false,
-                    reaching_refs: false,
-                };
+                let mut set = ProblemSet::NONE;
                 for item in items {
                     match item.as_str() {
                         Some("reaching") => set.reaching = true,
@@ -274,7 +221,7 @@ impl Request {
                         None => return Err(fail("`problems` entries must be strings".into())),
                     }
                 }
-                Some(set)
+                Some(set.bits())
             }
             Some(_) => return Err(fail("`problems` must be an array of names".into())),
         };
@@ -292,21 +239,8 @@ impl Request {
             Some(s @ Json::Obj(_)) => Some(parse_custom_spec(s).map_err(&fail)?),
             Some(_) => return Err(fail("`spec` must be an object".into())),
         };
-        if verb == Verb::Custom {
-            if spec.is_none() {
-                return Err(fail("`custom` requires a `spec` object".into()));
-            }
-            // Custom problems come from untrusted callers experimenting
-            // with the framework; bound the distance lattice they can ask
-            // for instead of letting a huge bound grind the solver.
-            if let Some(d) = distance_bound {
-                if d > CustomSpec::MAX_DISTANCE_BOUND {
-                    return Err(fail(format!(
-                        "`distance_bound` must be at most {}",
-                        CustomSpec::MAX_DISTANCE_BOUND
-                    )));
-                }
-            }
+        if tag == TAG_CUSTOM && spec.is_none() {
+            return Err(fail("`custom` requires a `spec` object".into()));
         }
 
         let uint_field = |name: &str| -> Result<Option<u64>, (Json, ServiceError)> {
@@ -323,7 +257,7 @@ impl Request {
             uint_field("deadline_ms")?.map(|ms| ms.min(arrayflow_wire::proto::MAX_DEADLINE_MS));
         let text = match v.get("text") {
             None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(s.clone()),
+            Some(Json::Str(s)) => Some(s.clone().into_bytes()),
             Some(_) => return Err(fail("`text` must be a string".into())),
         };
         let fingerprint = match v.get("fingerprint") {
@@ -334,31 +268,48 @@ impl Request {
             ),
             Some(_) => return Err(fail("`fingerprint` must be a hex string".into())),
         };
-        if verb == Verb::Delta {
-            for (field, present) in [
-                ("session", session.is_some()),
-                ("fingerprint", fingerprint.is_some()),
-                ("stmt", stmt.is_some()),
-                ("text", text.is_some()),
-            ] {
-                if !present {
-                    return Err(fail(format!("`delta` requires a `{field}` field")));
+
+        let body = match tag {
+            TAG_ANALYZE => WireRequest::Analyze(AnalyzeRequest {
+                id: 0,
+                fingerprint: None,
+                problems,
+                distance_bound,
+                source: program,
+            }),
+            TAG_CUSTOM => WireRequest::Custom(CustomRequest {
+                id: 0,
+                spec: spec.map_or(0, CustomSpec::bits),
+                fingerprint: None,
+                distance_bound,
+                source: program,
+            }),
+            TAG_OPEN => WireRequest::Open {
+                id: 0,
+                source: program.unwrap_or_default(),
+            },
+            TAG_DELTA => {
+                let missing = |field: &str| fail(format!("`delta` requires a `{field}` field"));
+                WireRequest::Delta {
+                    id: 0,
+                    session: session.ok_or_else(|| missing("session"))?,
+                    fingerprint: fingerprint.ok_or_else(|| missing("fingerprint"))?,
+                    stmt: stmt.ok_or_else(|| missing("stmt"))?,
+                    text: text.ok_or_else(|| missing("text"))?,
                 }
             }
-        }
-
+            TAG_STATS => WireRequest::Stats { id: 0 },
+            TAG_METRICS => WireRequest::Metrics { id: 0 },
+            TAG_PING => WireRequest::Ping { id: 0 },
+            TAG_HEALTH => WireRequest::Health { id: 0 },
+            TAG_COMPACT => WireRequest::Compact { id: 0 },
+            // The one verb left: `shutdown`.
+            _ => WireRequest::Shutdown { id: 0 },
+        };
         Ok(Request {
             id,
-            verb,
-            program,
-            problems,
-            spec,
-            distance_bound,
-            session,
-            fingerprint,
-            stmt,
-            text,
             deadline_ms,
+            body,
         })
     }
 }
@@ -542,14 +493,27 @@ pub fn delta_result_json(d: &DeltaReport) -> Json {
 mod tests {
     use super::*;
 
+    fn custom_spec(body: &WireRequest) -> CustomSpec {
+        match body {
+            WireRequest::Custom(c) => CustomSpec::from_bits(c.spec).unwrap(),
+            other => panic!("expected custom, got {other:?}"),
+        }
+    }
+
     #[test]
     fn decodes_minimal_analyze() {
         let r = Request::decode(br#"{"id": 3, "verb": "analyze", "program": "x := 1;"}"#).unwrap();
         assert_eq!(r.id, Json::Num(3.0));
-        assert_eq!(r.verb, Verb::Analyze);
-        assert_eq!(r.program.as_deref(), Some("x := 1;"));
-        assert_eq!(r.problems, None);
-        assert_eq!(r.distance_bound, None);
+        assert_eq!(
+            r.body,
+            WireRequest::Analyze(AnalyzeRequest {
+                id: 0,
+                fingerprint: None,
+                problems: None,
+                distance_bound: None,
+                source: Some(b"x := 1;".to_vec()),
+            })
+        );
     }
 
     #[test]
@@ -558,9 +522,12 @@ mod tests {
             br#"{"verb": "analyze", "program": "x := 1;", "problems": ["available", "busy"], "distance_bound": 4}"#,
         )
         .unwrap();
-        let p = r.problems.unwrap();
+        let WireRequest::Analyze(a) = r.body else {
+            panic!("expected analyze, got {:?}", r.body);
+        };
+        let p = ProblemSet::from_bits(a.problems.unwrap()).unwrap();
         assert!(!p.reaching && p.available && p.busy && !p.reaching_refs);
-        assert_eq!(r.distance_bound, Some(4));
+        assert_eq!(a.distance_bound, Some(4));
         assert_eq!(r.id, Json::Null);
     }
 
@@ -582,22 +549,34 @@ mod tests {
     #[test]
     fn decodes_open_and_delta() {
         let r = Request::decode(br#"{"id": 1, "verb": "open", "program": "x := 1;"}"#).unwrap();
-        assert_eq!(r.verb, Verb::Open);
-        assert_eq!(r.program.as_deref(), Some("x := 1;"));
+        assert_eq!(
+            r.body,
+            WireRequest::Open {
+                id: 0,
+                source: b"x := 1;".to_vec()
+            }
+        );
 
         let fp = "000102030405060708090a0b0c0d0e0f";
         let frame = format!(
             r#"{{"id": 2, "verb": "delta", "session": 7, "fingerprint": "{fp}", "stmt": 3, "text": "A[i] := 1;"}}"#
         );
         let r = Request::decode(frame.as_bytes()).unwrap();
-        assert_eq!(r.verb, Verb::Delta);
-        assert_eq!(r.session, Some(7));
-        assert_eq!(r.stmt, Some(3));
-        assert_eq!(r.text.as_deref(), Some("A[i] := 1;"));
+        let WireRequest::Delta {
+            session,
+            fingerprint: fp_bytes,
+            stmt,
+            text,
+            ..
+        } = r.body
+        else {
+            panic!("expected delta, got {:?}", r.body);
+        };
+        assert_eq!((session, stmt), (7, 3));
+        assert_eq!(text, b"A[i] := 1;");
         // Display renders the u128 big-endian-first as hex; wire bytes are
         // the little-endian u128 layout, so the round trip must agree with
         // Fingerprint's own rendering.
-        let fp_bytes = r.fingerprint.unwrap();
         let rendered = arrayflow_ir::Fingerprint(u128::from_le_bytes(fp_bytes)).to_string();
         assert_eq!(rendered, fp);
     }
@@ -628,8 +607,7 @@ mod tests {
                           "direction": "backward", "mode": "may"}}"#,
         )
         .unwrap();
-        assert_eq!(r.verb, Verb::Custom);
-        let spec = r.spec.unwrap();
+        let spec = custom_spec(&r.body);
         assert!(!spec.gen_defs && spec.gen_uses && spec.kill_defs && !spec.kill_uses);
         assert_eq!(spec.direction, Direction::Backward);
         assert_eq!(spec.mode, Mode::May);
@@ -640,7 +618,7 @@ mod tests {
             br#"{"verb": "custom", "program": "x := 1;", "spec": {"gen": ["defs", "uses"]}}"#,
         )
         .unwrap();
-        let spec = r.spec.unwrap();
+        let spec = custom_spec(&r.body);
         assert!(spec.gen_defs && spec.gen_uses && !spec.kill_defs && !spec.kill_uses);
         assert_eq!(spec.direction, Direction::Forward);
         assert_eq!(spec.mode, Mode::Must);
@@ -697,13 +675,17 @@ mod tests {
             err(br#"{"verb": "custom", "program": "x;", "spec": {"gen": ["defs"], "mode": 3}}"#);
         assert!(e.message.contains("must"), "{}", e.message);
 
-        // Distance bound beyond the custom-path ceiling.
+        // The custom-path distance ceiling applies to the *effective*
+        // bound, which only the dispatcher knows: decode passes a large
+        // bound through untouched.
         let frame = format!(
             r#"{{"verb": "custom", "program": "x;", "spec": {{"gen": ["defs"]}}, "distance_bound": {}}}"#,
             CustomSpec::MAX_DISTANCE_BOUND + 1
         );
-        let e = err(frame.as_bytes());
-        assert!(e.message.contains("at most"), "{}", e.message);
+        let WireRequest::Custom(c) = Request::decode(frame.as_bytes()).unwrap().body else {
+            panic!("expected custom");
+        };
+        assert_eq!(c.distance_bound, Some(CustomSpec::MAX_DISTANCE_BOUND + 1));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use arrayflow_cluster::{merge_expositions, Topology};
-use arrayflow_engine::fingerprint_route_hash;
+use arrayflow_engine::{fingerprint_route_hash, BatchResult, DeltaReport, LoopReport, QueryStats};
 use arrayflow_ir as ir;
 use arrayflow_obs::{Counter, Registry};
 use arrayflow_resilience::CircuitBreaker;
@@ -46,13 +46,16 @@ use arrayflow_store::codec::decode_report;
 use arrayflow_wire::encode_frame;
 use arrayflow_wire::frame::read_frame;
 use arrayflow_wire::proto::{
-    strip_deadline, with_deadline, AnalyzeOk, AnalyzeRequest, CustomRequest, DeltaOk,
-    Request as WireRequest, Response as WireResponse, SessionOk,
+    strip_deadline, with_deadline, AnalyzeRequest, CustomRequest, Request as WireRequest,
+    Response as WireResponse,
 };
 
 use crate::binproto::{kind_byte, kind_from_byte};
 use crate::json::Json;
-use crate::proto::{encode_err, encode_ok, ErrorKind, Request, ServiceError, Verb};
+use crate::proto::{
+    analyze_result_json, delta_result_json, encode_err, encode_ok, session_result_json, ErrorKind,
+    Request, ServiceError,
+};
 use crate::server::{Frame, FrameReader};
 
 /// How long a blocked read waits before re-checking the shutdown flag.
@@ -301,18 +304,19 @@ impl Router {
     }
 
     /// The per-forward deadline for a request accepted at `accepted` with
-    /// client budget `budget`: the remaining budget (elapsed router time
+    /// client budget `budget_ms`: the remaining budget (elapsed router time
     /// subtracted), capped by the configured per-forward timeout. `Err`
     /// when the budget is already exhausted — the forward is not attempted
     /// and the backend never sees dead work.
     fn forward_deadline(
         &self,
         accepted: Instant,
-        budget: Option<Duration>,
+        budget_ms: Option<u64>,
     ) -> Result<(Duration, Option<u64>), ServiceError> {
-        let Some(budget) = budget else {
+        let Some(ms) = budget_ms else {
             return Ok((self.config.request_timeout, None));
         };
+        let budget = Duration::from_millis(ms).min(self.config.request_timeout);
         let remaining = budget.saturating_sub(accepted.elapsed());
         if remaining.is_zero() {
             self.ins.expired_before_forward.inc();
@@ -539,16 +543,70 @@ impl Router {
         Json::Obj(vec![("nodes".into(), Json::Obj(nodes))])
     }
 
-    /// Routes one analyze request expressed as a binary frame under
-    /// `deadline`, decoding the response only as far as failover
-    /// accounting needs.
-    fn forward_analyze(
+    /// The router's one dispatcher, shared by both client protocols:
+    /// answers its own verbs, fans `stats`/`metrics`/`compact` out, and
+    /// routes solver verbs to their shard. `client` says what to forward:
+    /// a binary client's payload goes out unchanged, a JSON client's typed
+    /// request is encoded — with the fingerprint the router computed, so
+    /// the node can answer from its cache without parsing.
+    fn route(
         &self,
-        hash: u64,
-        frame: &[u8],
-        deadline: Duration,
-    ) -> Result<(u8, Vec<u8>), ServiceError> {
-        let ((tag, payload), via_replica) = self.forward_routed(hash, frame, deadline)?;
+        mut req: WireRequest,
+        client: Client<'_>,
+        accepted: Instant,
+        budget_ms: Option<u64>,
+    ) -> Result<Routed, ServiceError> {
+        let (verb, hash) = match &mut req {
+            WireRequest::Ping { .. } => return Ok(Routed::Own(Json::Str("pong".into()))),
+            WireRequest::Health { .. } => return Ok(Routed::Own(self.health_json())),
+            WireRequest::Stats { .. } => return Ok(Routed::Own(self.stats_json())),
+            WireRequest::Metrics { .. } => return Ok(Routed::Metrics(self.merged_exposition())),
+            WireRequest::Compact { .. } => return Ok(Routed::Own(self.compact_json())),
+            WireRequest::Shutdown { .. } => {
+                self.shutdown();
+                return Ok(Routed::Shutdown);
+            }
+            WireRequest::Replicate { .. } => {
+                return Err(ServiceError::new(
+                    ErrorKind::Protocol,
+                    "replicate targets a node, not the router",
+                ))
+            }
+            // The spec is deliberately not part of the routing key: every
+            // spec over one loop shards to the node that caches the loop,
+            // where the spec-extended cache key keeps the entries distinct.
+            WireRequest::Analyze(AnalyzeRequest {
+                fingerprint,
+                source,
+                ..
+            }) => ("analyze", solver_route_hash(&client, fingerprint, source)),
+            WireRequest::Custom(CustomRequest {
+                fingerprint,
+                source,
+                ..
+            }) => ("custom", solver_route_hash(&client, fingerprint, source)),
+            // Sessions are shard-sticky: `open` routes by the source's
+            // canonical fingerprint, and every `delta` carries that same
+            // base fingerprint back, so the whole session lands on one
+            // node's session store. A failover mid-session surfaces as a
+            // typed `session_lost` error — the replica never held the
+            // session — and the client re-opens and replays.
+            WireRequest::Open { source, .. } => ("open", route_hash(None, source)),
+            WireRequest::Delta { fingerprint, .. } => {
+                ("delta", route_hash(Some(*fingerprint), b""))
+            }
+        };
+        let encoded;
+        let payload = match client {
+            Client::Binary(payload) => payload,
+            Client::Json => {
+                encoded = req.encode_payload();
+                &encoded
+            }
+        };
+        let (deadline, remaining_ms) = self.forward_deadline(accepted, budget_ms)?;
+        let frame = forward_frame(req.tag(), payload, remaining_ms);
+        let ((tag, payload), via_replica) = self.forward_routed(hash, &frame, deadline)?;
         if via_replica {
             if let Ok(WireResponse::Analyze(ok)) = WireResponse::decode(tag, &payload) {
                 if ok.cache_hits > 0 {
@@ -556,7 +614,7 @@ impl Router {
                 }
             }
         }
-        Ok((tag, payload))
+        Ok(Routed::Forwarded { verb, tag, payload })
     }
 
     /// Handles one decoded binary client frame; returns the response
@@ -566,327 +624,186 @@ impl Router {
     /// spent on the node.
     fn handle_binary(&self, tag: u8, payload: &[u8]) -> (Vec<u8>, bool) {
         let accepted = Instant::now();
-        let (tag, budget_ms, offset) = match strip_deadline(tag, payload) {
-            Ok(parts) => parts,
-            Err(e) => {
-                return (
-                    err_frame(0, ErrorKind::Protocol, format!("bad deadline prefix: {e}")),
-                    false,
-                )
-            }
+        let decoded = strip_deadline(tag, payload)
+            .map_err(|e| format!("bad deadline prefix: {e}"))
+            .and_then(|(tag, budget_ms, offset)| {
+                WireRequest::decode(tag, &payload[offset..])
+                    .map(|req| (req, budget_ms, &payload[offset..]))
+                    .map_err(|e| format!("bad frame: {e}"))
+            });
+        let (req, budget_ms, payload) = match decoded {
+            Ok(decoded) => decoded,
+            Err(message) => return (err_frame(0, ErrorKind::Protocol, message), false),
         };
-        let payload = &payload[offset..];
-        let budget = budget_ms.map(|ms| Duration::from_millis(ms).min(self.config.request_timeout));
-        let req = match WireRequest::decode(tag, payload) {
-            Ok(req) => req,
-            Err(e) => {
-                return (
-                    err_frame(0, ErrorKind::Protocol, format!("bad frame: {e}")),
-                    false,
-                )
-            }
-        };
-        match req {
-            WireRequest::Ping { id } => (text_frame(id, "pong".into()), false),
-            WireRequest::Health { id } => (text_frame(id, self.health_json().to_string()), false),
-            WireRequest::Stats { id } => (text_frame(id, self.stats_json().to_string()), false),
-            WireRequest::Metrics { id } => (text_frame(id, self.merged_exposition()), false),
-            WireRequest::Compact { id } => (text_frame(id, self.compact_json().to_string()), false),
-            WireRequest::Shutdown { id } => {
-                self.shutdown();
-                (text_frame(id, "shutting down".into()), true)
-            }
-            WireRequest::Replicate { id, .. } => (
-                err_frame(
-                    id,
-                    ErrorKind::Protocol,
-                    "replicate targets a node, not the router",
-                ),
-                false,
-            ),
-            WireRequest::Analyze(ref a) => (
-                self.forward_binary(a.id, analyze_route_hash(a), tag, payload, accepted, budget),
-                false,
-            ),
-            WireRequest::Custom(ref c) => (
-                self.forward_binary(c.id, custom_route_hash(c), tag, payload, accepted, budget),
-                false,
-            ),
-            // Sessions are shard-sticky: `open` routes by the source's
-            // canonical fingerprint, and every `delta` carries that same
-            // base fingerprint back, so the whole session lands on one
-            // node's session store. A failover mid-session surfaces as a
-            // typed `session_lost` error — the replica never held the
-            // session — and the client re-opens and replays.
-            WireRequest::Open { id, ref source } => (
-                self.forward_binary(id, open_route_hash(source), tag, payload, accepted, budget),
-                false,
-            ),
-            WireRequest::Delta {
-                id, fingerprint, ..
-            } => {
-                let hash =
-                    fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fingerprint)));
-                (
-                    self.forward_binary(id, hash, tag, payload, accepted, budget),
-                    false,
-                )
-            }
-        }
-    }
-
-    /// One routed binary forward under the request's remaining budget: the
-    /// stripped frame is re-encoded with the remaining milliseconds as its
-    /// deadline prefix (when the client sent one) so the node sheds the
-    /// job if the budget runs out there too.
-    fn forward_binary(
-        &self,
-        id: u64,
-        hash: u64,
-        tag: u8,
-        payload: &[u8],
-        accepted: Instant,
-        budget: Option<Duration>,
-    ) -> Vec<u8> {
-        let attempt =
-            self.forward_deadline(accepted, budget)
-                .and_then(|(deadline, remaining_ms)| {
-                    let frame = forward_frame(tag, payload, remaining_ms);
-                    self.forward_analyze(hash, &frame, deadline)
-                });
-        match attempt {
-            Ok((rtag, rpayload)) => encode_frame(rtag, &rpayload),
-            Err(e) => err_frame(id, e.kind, e.message),
+        let id = req.id();
+        match self.route(req, Client::Binary(payload), accepted, budget_ms) {
+            Ok(Routed::Own(Json::Str(text))) => (text_frame(id, text), false),
+            Ok(Routed::Own(json)) => (text_frame(id, json.to_string()), false),
+            Ok(Routed::Metrics(text)) => (text_frame(id, text), false),
+            Ok(Routed::Shutdown) => (text_frame(id, "shutting down".into()), true),
+            Ok(Routed::Forwarded { tag, payload, .. }) => (encode_frame(tag, &payload), false),
+            Err(e) => (err_frame(id, e.kind, e.message), false),
         }
     }
 
     /// Handles one JSON client line; returns the response line (no
-    /// newline) and whether this was an accepted shutdown. A `deadline_ms`
-    /// field on the request becomes the forward's remaining-budget
-    /// deadline, exactly as the binary prefix does.
+    /// newline) and whether this was an accepted shutdown. The line
+    /// decodes into the same typed request a binary frame does, takes a
+    /// fresh wire id, and goes through the same [`Router::route`]; a
+    /// `deadline_ms` field becomes the forward's remaining-budget
+    /// deadline exactly as the binary prefix does.
     fn handle_json(&self, frame: &[u8]) -> (String, bool) {
         let accepted = Instant::now();
-        let req = match Request::decode(frame) {
+        let Request {
+            id,
+            deadline_ms,
+            mut body,
+        } = match Request::decode(frame) {
             Ok(req) => req,
             Err((id, e)) => return (encode_err(&id, &e), false),
         };
-        let id = req.id.clone();
-        let result = match req.verb {
-            Verb::Ping => Ok(Json::Str("pong".into())),
-            Verb::Health => Ok(self.health_json()),
-            Verb::Stats => Ok(self.stats_json()),
-            Verb::Metrics => Ok(Json::Obj(vec![(
-                "prometheus".into(),
-                Json::Str(self.merged_exposition()),
-            )])),
-            Verb::Compact => Ok(self.compact_json()),
-            Verb::Shutdown => {
-                self.shutdown();
+        *body.id_mut() = self.fresh_id();
+        let result = match self.route(body, Client::Json, accepted, deadline_ms) {
+            Ok(Routed::Own(json)) => Ok(json),
+            Ok(Routed::Metrics(text)) => {
+                Ok(Json::Obj(vec![("prometheus".into(), Json::Str(text))]))
+            }
+            Ok(Routed::Shutdown) => {
                 return (encode_ok(&id, Json::Str("shutting down".into())), true);
             }
-            Verb::Analyze => self.analyze_json(&req, accepted),
-            Verb::Custom => self.custom_json(&req, accepted),
-            Verb::Open => self.open_json(&req, accepted),
-            Verb::Delta => self.delta_json(&req, accepted),
+            Ok(Routed::Forwarded { verb, tag, payload }) => forwarded_json(verb, tag, &payload),
+            Err(e) => Err(e),
         };
         match result {
             Ok(json) => (encode_ok(&id, json), false),
             Err(e) => (encode_err(&id, &e), false),
         }
     }
-
-    /// A JSON request's deadline budget, capped by the per-forward limit.
-    fn json_budget(&self, req: &Request) -> Option<Duration> {
-        req.deadline_ms
-            .map(|ms| Duration::from_millis(ms).min(self.config.request_timeout))
-    }
-
-    /// A JSON analyze: computed-fingerprint routing, binary forwarding,
-    /// response re-rendered to the JSON shape a node would produce.
-    fn analyze_json(&self, req: &Request, accepted: Instant) -> Result<Json, ServiceError> {
-        let source = require(req.program.as_deref(), "analyze", "program")?;
-        let fingerprint = fingerprint_of_source(source);
-        let hash = match fingerprint {
-            Some(fp) => fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp))),
-            None => source_route_hash(source.as_bytes()),
-        };
-        let wire = WireRequest::Analyze(AnalyzeRequest {
-            id: self.fresh_id(),
-            fingerprint,
-            problems: req.problems.map(|p| p.bits()),
-            distance_bound: req.distance_bound,
-            source: Some(source.as_bytes().to_vec()),
-        });
-        let (deadline, remaining_ms) = self.forward_deadline(accepted, self.json_budget(req))?;
-        let frame = forward_frame(wire.tag(), &wire.encode_payload(), remaining_ms);
-        let (tag, payload) = self.forward_analyze(hash, &frame, deadline)?;
-        match WireResponse::decode(tag, &payload) {
-            Ok(WireResponse::Analyze(ok)) => analyze_ok_to_json(&ok),
-            Ok(WireResponse::Err { kind, message, .. }) => Err(ServiceError::new(
-                kind_from_byte(kind).unwrap_or(ErrorKind::Protocol),
-                message,
-            )),
-            _ => Err(ServiceError::new(
-                ErrorKind::Protocol,
-                "node sent an unexpected response to analyze",
-            )),
-        }
-    }
-
-    /// A JSON `custom`: the user's (G, K) problem forwarded as a binary
-    /// `custom` frame, routed exactly like `analyze` — by the source's
-    /// canonical fingerprint — so two specs over the same loop land on the
-    /// same node's memo cache (the spec is part of the cache key there,
-    /// never the routing key).
-    fn custom_json(&self, req: &Request, accepted: Instant) -> Result<Json, ServiceError> {
-        let source = require(req.program.as_deref(), "custom", "program")?;
-        let spec = require(req.spec, "custom", "spec")?;
-        let fingerprint = fingerprint_of_source(source);
-        let hash = match fingerprint {
-            Some(fp) => fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp))),
-            None => source_route_hash(source.as_bytes()),
-        };
-        let wire = WireRequest::Custom(CustomRequest {
-            id: self.fresh_id(),
-            spec: spec.bits(),
-            fingerprint,
-            distance_bound: req.distance_bound,
-            source: Some(source.as_bytes().to_vec()),
-        });
-        let (deadline, remaining_ms) = self.forward_deadline(accepted, self.json_budget(req))?;
-        let frame = forward_frame(wire.tag(), &wire.encode_payload(), remaining_ms);
-        let (tag, payload) = self.forward_analyze(hash, &frame, deadline)?;
-        match WireResponse::decode(tag, &payload) {
-            Ok(WireResponse::Analyze(ok)) => analyze_ok_to_json(&ok),
-            Ok(WireResponse::Err { kind, message, .. }) => Err(ServiceError::new(
-                kind_from_byte(kind).unwrap_or(ErrorKind::Protocol),
-                message,
-            )),
-            _ => Err(ServiceError::new(
-                ErrorKind::Protocol,
-                "node sent an unexpected response to custom",
-            )),
-        }
-    }
-
-    /// A JSON `open`: route by the source's canonical fingerprint, forward
-    /// as a binary `open` frame, re-render the node's session response to
-    /// the JSON shape the node itself would produce.
-    fn open_json(&self, req: &Request, accepted: Instant) -> Result<Json, ServiceError> {
-        let source = require(req.program.as_deref(), "open", "program")?;
-        let wire = WireRequest::Open {
-            id: self.fresh_id(),
-            source: source.as_bytes().to_vec(),
-        };
-        let (deadline, remaining_ms) = self.forward_deadline(accepted, self.json_budget(req))?;
-        let frame = forward_frame(wire.tag(), &wire.encode_payload(), remaining_ms);
-        let hash = open_route_hash(source.as_bytes());
-        let ((tag, payload), _) = self.forward_routed(hash, &frame, deadline)?;
-        match WireResponse::decode(tag, &payload) {
-            Ok(WireResponse::Session(ok)) => session_ok_to_json(&ok),
-            Ok(WireResponse::Err { kind, message, .. }) => Err(ServiceError::new(
-                kind_from_byte(kind).unwrap_or(ErrorKind::Protocol),
-                message,
-            )),
-            _ => Err(ServiceError::new(
-                ErrorKind::Protocol,
-                "node sent an unexpected response to open",
-            )),
-        }
-    }
-
-    /// A JSON `delta`: route by the carried base fingerprint (the one
-    /// `open` returned — the session's shard key), forward as a binary
-    /// `delta` frame.
-    fn delta_json(&self, req: &Request, accepted: Instant) -> Result<Json, ServiceError> {
-        let fingerprint = require(req.fingerprint, "delta", "fingerprint")?;
-        let wire = WireRequest::Delta {
-            id: self.fresh_id(),
-            session: require(req.session, "delta", "session")?,
-            fingerprint,
-            stmt: require(req.stmt, "delta", "stmt")?,
-            text: require(req.text.clone(), "delta", "text")?.into_bytes(),
-        };
-        let (deadline, remaining_ms) = self.forward_deadline(accepted, self.json_budget(req))?;
-        let frame = forward_frame(wire.tag(), &wire.encode_payload(), remaining_ms);
-        let hash = fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fingerprint)));
-        let ((tag, payload), _) = self.forward_routed(hash, &frame, deadline)?;
-        match WireResponse::decode(tag, &payload) {
-            Ok(WireResponse::Delta(ok)) => delta_ok_to_json(&ok),
-            Ok(WireResponse::Err { kind, message, .. }) => Err(ServiceError::new(
-                kind_from_byte(kind).unwrap_or(ErrorKind::Protocol),
-                message,
-            )),
-            _ => Err(ServiceError::new(
-                ErrorKind::Protocol,
-                "node sent an unexpected response to delta",
-            )),
-        }
-    }
 }
 
-/// A field `proto::Request::decode` is supposed to guarantee. The router
-/// answers its absence with a protocol error rather than trusting the
-/// invariant with a panic — hand-crafted frames and decode-layer drift
-/// must never take the process down (they did: `delta` frames with a
-/// missing `fingerprint` or `session` hit an `.expect()` here).
-fn require<T>(value: Option<T>, verb: &str, field: &str) -> Result<T, ServiceError> {
-    value.ok_or_else(|| {
+/// What [`Router::route`] forwards for a client.
+enum Client<'a> {
+    /// A binary client: its (deadline-stripped) payload, sent unchanged.
+    Binary(&'a [u8]),
+    /// A JSON client: the typed request is encoded for the node.
+    Json,
+}
+
+/// What [`Router::route`] produced, before encoding for the client.
+enum Routed {
+    /// A result the router computed itself. JSON returns it as-is; binary
+    /// ships it as a text body (a JSON string unquoted).
+    Own(Json),
+    /// The merged Prometheus exposition: wrapped as `{"prometheus": …}`
+    /// for JSON, the bare text for binary.
+    Metrics(String),
+    /// `shutdown` was accepted.
+    Shutdown,
+    /// A node's response frame to a routed `verb`.
+    Forwarded {
+        verb: &'static str,
+        tag: u8,
+        payload: Vec<u8>,
+    },
+}
+
+/// Re-renders a node's binary response to a forwarded JSON request with
+/// the node's own JSON encoder, so a routed answer is the JSON a node
+/// would send: the decoded reports render byte-identically.
+fn forwarded_json(verb: &str, tag: u8, payload: &[u8]) -> Result<Json, ServiceError> {
+    let unexpected = || {
         ServiceError::new(
             ErrorKind::Protocol,
-            format!("`{verb}` requires a `{field}` field"),
+            format!("node sent an unexpected response to {verb}"),
         )
-    })
+    };
+    let report = |bytes: &[u8]| {
+        decode_report(bytes).map(Arc::new).map_err(|e| {
+            ServiceError::new(
+                ErrorKind::Protocol,
+                format!("node sent an undecodable report: {e}"),
+            )
+        })
+    };
+    let fingerprint = |bytes: [u8; 16]| ir::Fingerprint(u128::from_le_bytes(bytes));
+    match (
+        verb,
+        WireResponse::decode(tag, payload).map_err(|_| unexpected())?,
+    ) {
+        (_, WireResponse::Err { kind, message, .. }) => Err(ServiceError::new(
+            kind_from_byte(kind).unwrap_or(ErrorKind::Protocol),
+            message,
+        )),
+        ("analyze" | "custom", WireResponse::Analyze(ok)) => {
+            let loops = ok
+                .loops
+                .iter()
+                .map(|entry| {
+                    Ok(LoopReport {
+                        fingerprint: fingerprint(entry.fingerprint),
+                        report: report(&entry.report)?,
+                    })
+                })
+                .collect::<Result<_, ServiceError>>()?;
+            Ok(analyze_result_json(&BatchResult {
+                index: 0,
+                loops,
+                error: None,
+                stats: QueryStats {
+                    cache_hits: ok.cache_hits,
+                    cache_misses: ok.cache_misses,
+                    solver_passes: ok.solver_passes,
+                    node_visits: ok.node_visits,
+                    micros: 0,
+                },
+            }))
+        }
+        ("open", WireResponse::Session(ok)) => {
+            Ok(session_result_json(ok.session, &*report(&ok.report)?))
+        }
+        ("delta", WireResponse::Delta(ok)) => Ok(delta_result_json(&DeltaReport {
+            session: ok.session,
+            fingerprint: fingerprint(ok.fingerprint),
+            report: report(&ok.report)?,
+            fallback: ok.fallback,
+            dirty_columns: ok.dirty_columns as usize,
+            total_columns: ok.total_columns as usize,
+        })),
+        _ => Err(unexpected()),
+    }
 }
 
-/// The routing hash of a custom request: identical to
-/// [`analyze_route_hash`] — fingerprint first, canonicalized source next,
-/// stable byte hash last — because the spec is deliberately not part of
-/// the routing key. Every spec over one loop shards to the same node,
-/// where the spec-extended cache key keeps the entries distinct.
-fn custom_route_hash(req: &CustomRequest) -> u64 {
-    if let Some(fp) = req.fingerprint {
-        return fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
+/// The routing hash of a request: the canonical fingerprint when the
+/// client sent one (or `source` is a single-loop program), a stable byte
+/// hash of `source` otherwise — so alpha-equivalent loops land on the
+/// same node however they arrive.
+fn route_hash(fingerprint: Option<[u8; 16]>, source: &[u8]) -> u64 {
+    match fingerprint.or_else(|| source_fingerprint(source)) {
+        Some(fp) => fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp))),
+        None => source_route_hash(source),
     }
-    let source = req.source.as_deref().unwrap_or(b"");
-    if let Some(fp) = std::str::from_utf8(source)
-        .ok()
-        .and_then(fingerprint_of_source)
-    {
-        return fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
-    }
-    source_route_hash(source)
 }
 
-/// The routing hash of a binary analyze request: the canonical
-/// fingerprint when the client sent one (or the source yields one),
-/// a stable byte hash of the source otherwise.
-fn analyze_route_hash(req: &AnalyzeRequest) -> u64 {
-    if let Some(fp) = req.fingerprint {
-        return fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
+/// The routing hash of an `analyze`/`custom` request. For a JSON client
+/// the fingerprint computed from its source is also written into the
+/// request, so the node it is forwarded to probes its cache first.
+fn solver_route_hash(
+    client: &Client<'_>,
+    fingerprint: &mut Option<[u8; 16]>,
+    source: &Option<Vec<u8>>,
+) -> u64 {
+    let source = source.as_deref().unwrap_or(b"");
+    if matches!(client, Client::Json) && fingerprint.is_none() {
+        *fingerprint = source_fingerprint(source);
     }
-    let source = req.source.as_deref().unwrap_or(b"");
-    if let Some(fp) = std::str::from_utf8(source)
-        .ok()
-        .and_then(fingerprint_of_source)
-    {
-        return fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
-    }
-    source_route_hash(source)
+    route_hash(*fingerprint, source)
 }
 
-/// The routing hash of an `open` request: the canonical fingerprint of
-/// its source when it is a single-loop program, a stable byte hash
-/// otherwise — the same keys `analyze` routes by, so a session opens on
-/// the shard that already caches its loop.
-fn open_route_hash(source: &[u8]) -> u64 {
-    if let Some(fp) = std::str::from_utf8(source)
+/// [`fingerprint_of_source`] over raw bytes; `None` for invalid UTF-8.
+fn source_fingerprint(source: &[u8]) -> Option<[u8; 16]> {
+    std::str::from_utf8(source)
         .ok()
         .and_then(fingerprint_of_source)
-    {
-        return fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
-    }
-    source_route_hash(source)
 }
 
 /// Mirrors `arrayflow::fingerprint`: the canonical fingerprint of a
@@ -914,82 +831,6 @@ fn source_route_hash(source: &[u8]) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Renders a decoded [`AnalyzeOk`] as the JSON `analyze` result object a
-/// node's JSON transport produces — the report strings are byte-identical
-/// because both sides render the same `AnalysisReport`.
-fn analyze_ok_to_json(ok: &AnalyzeOk) -> Result<Json, ServiceError> {
-    let mut loops = Vec::with_capacity(ok.loops.len());
-    for entry in &ok.loops {
-        let report = decode_report(&entry.report).map_err(|e| {
-            ServiceError::new(
-                ErrorKind::Protocol,
-                format!("node sent an undecodable report: {e}"),
-            )
-        })?;
-        loops.push(Json::Obj(vec![
-            (
-                "fingerprint".into(),
-                Json::Str(ir::Fingerprint(u128::from_le_bytes(entry.fingerprint)).to_string()),
-            ),
-            ("report".into(), Json::Str(report.render())),
-        ]));
-    }
-    Ok(Json::Obj(vec![
-        ("loops".into(), Json::Arr(loops)),
-        ("error".into(), Json::Null),
-        (
-            "stats".into(),
-            Json::Obj(vec![
-                ("cache_hits".into(), Json::Num(ok.cache_hits as f64)),
-                ("cache_misses".into(), Json::Num(ok.cache_misses as f64)),
-                ("solver_passes".into(), Json::Num(ok.solver_passes as f64)),
-                ("node_visits".into(), Json::Num(ok.node_visits as f64)),
-            ]),
-        ),
-    ]))
-}
-
-/// Renders a decoded [`SessionOk`] as the JSON `open` result object a
-/// node's JSON transport produces.
-fn session_ok_to_json(ok: &SessionOk) -> Result<Json, ServiceError> {
-    let report = decode_report(&ok.report).map_err(|e| {
-        ServiceError::new(
-            ErrorKind::Protocol,
-            format!("node sent an undecodable report: {e}"),
-        )
-    })?;
-    Ok(Json::Obj(vec![
-        ("session".into(), Json::Num(ok.session as f64)),
-        (
-            "fingerprint".into(),
-            Json::Str(ir::Fingerprint(u128::from_le_bytes(ok.fingerprint)).to_string()),
-        ),
-        ("report".into(), Json::Str(report.render())),
-    ]))
-}
-
-/// Renders a decoded [`DeltaOk`] as the JSON `delta` result object a
-/// node's JSON transport produces.
-fn delta_ok_to_json(ok: &DeltaOk) -> Result<Json, ServiceError> {
-    let report = decode_report(&ok.report).map_err(|e| {
-        ServiceError::new(
-            ErrorKind::Protocol,
-            format!("node sent an undecodable report: {e}"),
-        )
-    })?;
-    Ok(Json::Obj(vec![
-        ("session".into(), Json::Num(ok.session as f64)),
-        (
-            "fingerprint".into(),
-            Json::Str(ir::Fingerprint(u128::from_le_bytes(ok.fingerprint)).to_string()),
-        ),
-        ("report".into(), Json::Str(report.render())),
-        ("fallback".into(), Json::Bool(ok.fallback)),
-        ("dirty_columns".into(), Json::Num(ok.dirty_columns as f64)),
-        ("total_columns".into(), Json::Num(ok.total_columns as f64)),
-    ]))
 }
 
 /// Merges `from` into `into`: numbers sum, objects recurse on matching
@@ -1243,27 +1084,9 @@ mod tests {
         let fp = fingerprint_of_source(a).unwrap();
         assert_eq!(fingerprint_of_source(b), Some(fp));
 
-        let by_source = analyze_route_hash(&AnalyzeRequest {
-            id: 1,
-            fingerprint: None,
-            problems: None,
-            distance_bound: None,
-            source: Some(a.as_bytes().to_vec()),
-        });
-        let by_fp = analyze_route_hash(&AnalyzeRequest {
-            id: 2,
-            fingerprint: Some(fp),
-            problems: None,
-            distance_bound: None,
-            source: None,
-        });
-        let alpha = analyze_route_hash(&AnalyzeRequest {
-            id: 3,
-            fingerprint: None,
-            problems: None,
-            distance_bound: None,
-            source: Some(b.as_bytes().to_vec()),
-        });
+        let by_source = route_hash(None, a.as_bytes());
+        let by_fp = route_hash(Some(fp), b"");
+        let alpha = route_hash(None, b.as_bytes());
         assert_eq!(by_source, by_fp);
         assert_eq!(by_source, alpha);
     }
@@ -1272,13 +1095,7 @@ mod tests {
     fn multi_loop_source_falls_back_to_a_stable_byte_hash() {
         let src = "do i = 1, 9 A[i] := 1; end do j = 1, 9 B[j] := 2; end";
         assert_eq!(fingerprint_of_source(src), None);
-        let h1 = analyze_route_hash(&AnalyzeRequest {
-            id: 1,
-            fingerprint: None,
-            problems: None,
-            distance_bound: None,
-            source: Some(src.as_bytes().to_vec()),
-        });
+        let h1 = route_hash(None, src.as_bytes());
         assert_eq!(h1, source_route_hash(src.as_bytes()));
         assert_ne!(h1, source_route_hash(b"different"));
     }
@@ -1337,66 +1154,44 @@ mod tests {
     }
 
     #[test]
-    fn a_request_that_slips_past_decode_still_answers_not_panics() {
-        // Defense in depth behind `Request::decode`: even a request struct
-        // violating the per-verb invariants gets a protocol error from
-        // every forwarding handler, never a panic.
-        let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
-        let router = Router::new(RouterConfig::new(topology));
-        let bare = Request {
-            id: Json::Num(1.0),
-            verb: Verb::Delta,
-            program: None,
-            problems: None,
-            spec: None,
-            distance_bound: None,
-            session: None,
-            fingerprint: None,
-            stmt: None,
-            text: None,
-            deadline_ms: None,
-        };
-        let now = Instant::now();
-        for result in [
-            router.delta_json(&bare, now),
-            router.analyze_json(&bare, now),
-            router.open_json(&bare, now),
-            router.custom_json(&bare, now),
-        ] {
-            let e = result.expect_err("missing fields must be an error");
-            assert_eq!(e.kind, ErrorKind::Protocol);
-        }
-    }
-
-    #[test]
     fn custom_routes_by_the_same_keys_as_analyze() {
         // The spec is part of the cache key, never the routing key: every
         // spec over one loop must shard to the node that caches it.
         let src = "do i = 1, 100 A[i+2] := A[i] + x; end";
         let fp = fingerprint_of_source(src).unwrap();
-        let by_fp = custom_route_hash(&CustomRequest {
+        let mut by_fp = CustomRequest {
             id: 1,
             spec: 0b01,
             fingerprint: Some(fp),
             distance_bound: None,
             source: None,
-        });
-        let by_source = custom_route_hash(&CustomRequest {
+        };
+        let mut by_source = CustomRequest {
             id: 2,
             spec: 0b10_0110,
             fingerprint: None,
             distance_bound: None,
             source: Some(src.as_bytes().to_vec()),
-        });
-        assert_eq!(by_fp, by_source);
-        let analyze = analyze_route_hash(&AnalyzeRequest {
+        };
+        let mut analyze = AnalyzeRequest {
             id: 3,
             fingerprint: Some(fp),
             problems: None,
             distance_bound: None,
             source: None,
-        });
-        assert_eq!(by_fp, analyze);
+        };
+        let binary = Client::Binary(&[]);
+        let custom_fp = solver_route_hash(&binary, &mut by_fp.fingerprint, &by_fp.source);
+        let custom_src = solver_route_hash(&binary, &mut by_source.fingerprint, &by_source.source);
+        let analyze_fp = solver_route_hash(&binary, &mut analyze.fingerprint, &analyze.source);
+        assert_eq!(custom_fp, custom_src);
+        assert_eq!(custom_fp, analyze_fp);
+        // A binary request is forwarded verbatim, so it is left as sent; a
+        // JSON one gains the computed fingerprint for the node's probe.
+        assert_eq!(by_source.fingerprint, None);
+        let json = solver_route_hash(&Client::Json, &mut by_source.fingerprint, &by_source.source);
+        assert_eq!(json, custom_fp);
+        assert_eq!(by_source.fingerprint, Some(fp));
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //!
 //! Transport-agnostic: both the TCP listener and the stdio loop feed raw
 //! frames to [`Service::handle_frame`] and write back the returned line.
-//! Cheap verbs (`ping`, `stats`, `shutdown`) are answered inline on the
-//! transport thread; `analyze` goes through the queue so a flood of
-//! expensive requests degrades into explicit `overloaded` errors instead
-//! of unbounded memory growth or latency collapse.
+//! Every transport and both protocols end in one dispatcher over the
+//! typed wire request. Cheap verbs (`ping`, `stats`, `shutdown`, …) and
+//! fingerprint-cache hits are answered inline on the transport thread;
+//! `analyze`, `custom`, `open` and `delta` go through the queue so a
+//! flood of expensive requests degrades into explicit `overloaded`
+//! errors instead of unbounded memory growth or latency collapse.
 
 use std::collections::VecDeque;
 use std::io;
@@ -20,20 +22,21 @@ use std::time::{Duration, Instant};
 use arrayflow_cluster::{Replicator, ReplicatorConfig};
 use arrayflow_engine::{
     AnalysisReport, BatchResult, CustomSpec, DeltaReport, Engine, EngineConfig, EngineStats,
-    ProblemSet,
+    LoopReport, ProblemSet, QueryStats,
 };
-use arrayflow_ir::{parse_program_bytes, Edit, StmtId};
+use arrayflow_ir::{parse_program_bytes, Edit, Fingerprint, StmtId};
 use arrayflow_obs::{
     observed_span, with_current, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue,
     Registry, Trace, PHASE_BUCKETS_US,
 };
 use arrayflow_resilience::{panic_message, CancelToken, FaultSurface};
 use arrayflow_store::{PersistentTier, Store, StoreConfig};
+use arrayflow_wire::proto::Request as WireRequest;
 
 use crate::json::Json;
 use crate::proto::{
     analyze_result_json, delta_result_json, encode_err, encode_ok, session_result_json, ErrorKind,
-    Request, ServiceError, Verb,
+    ServiceError,
 };
 
 /// Upper edges of the request latency histogram, in microseconds; the
@@ -203,18 +206,18 @@ impl ServiceStats {
     }
 }
 
-/// How a finished queued job reaches whoever is waiting: a boxed
-/// one-shot closure, so the blocking transports (an `mpsc` send the
+/// How a dispatched request's outcome reaches whoever is waiting: a
+/// boxed one-shot closure, so the blocking transports (an `mpsc` send the
 /// submitting thread waits on) and the event-driven server (append to a
-/// completion queue, wake the poll loop) share one queue and one worker
-/// pool.
-pub(crate) type Reply = Box<dyn FnOnce(Result<JobOutput, ServiceError>) + Send>;
+/// completion queue, wake the poll loop) share one dispatcher, one queue
+/// and one worker pool.
+pub(crate) type Reply = Box<dyn FnOnce(Result<Outcome, ServiceError>) + Send>;
 
 /// The engine work a queued job carries. Everything that runs a solver —
 /// full analyses, session opens (a full analysis that also retains
 /// state), and delta re-convergences — goes through the bounded queue so
 /// a flood degrades into explicit `overloaded` errors.
-pub(crate) enum Work {
+enum Work {
     /// A stateless `analyze`.
     Analyze {
         /// DSL source of the program to analyze.
@@ -248,9 +251,20 @@ pub(crate) enum Work {
     },
 }
 
-/// What a finished job produced, matching its [`Work`] variant.
-pub(crate) enum JobOutput {
-    /// The batch result of a stateless `analyze`.
+/// What a successfully dispatched request produced, before encoding.
+/// Exactly two encoders turn it into bytes: [`Service::json_result`] (a
+/// JSON `result` value) and `Service::binary_response` (an `AFWIRE01`
+/// response), so both protocols answer every verb from the same value.
+pub(crate) enum Outcome {
+    /// A cheap verb's result. JSON returns it as-is; binary ships it as a
+    /// text body (a JSON string travels unquoted, anything else rendered).
+    Text(Json),
+    /// `metrics`: structured JSON plus the exposition for JSON clients,
+    /// the bare Prometheus exposition for binary ones.
+    Metrics,
+    /// `shutdown` was accepted; the transport stops reading after this.
+    Shutdown,
+    /// An `analyze`/`custom` result, solved or a fingerprint-cache hit.
     Analyze(BatchResult),
     /// The session id and initial report of an `open`.
     Session(u64, Arc<AnalysisReport>),
@@ -258,15 +272,12 @@ pub(crate) enum JobOutput {
     Delta(DeltaReport),
 }
 
-impl JobOutput {
-    /// Renders this output as the JSON `result` object its verb returns.
-    pub(crate) fn to_json(&self) -> Json {
-        match self {
-            JobOutput::Analyze(r) => analyze_result_json(r),
-            JobOutput::Session(session, report) => session_result_json(*session, report),
-            JobOutput::Delta(d) => delta_result_json(d),
-        }
-    }
+/// What the dispatcher does with a validated request.
+enum Step {
+    /// Answer inline, on the calling thread.
+    Answer(Outcome),
+    /// Run on the worker pool.
+    Queue(Work),
 }
 
 struct Job {
@@ -558,7 +569,7 @@ impl Service {
     /// router's failover probes key on. Answered inline on the transport
     /// thread — a wedged worker pool must not make a healthy node look
     /// dead, and an unhealthy queue shows up in `queued` anyway.
-    pub(crate) fn health_json(&self) -> Json {
+    fn health_json(&self) -> Json {
         Json::Obj(vec![
             ("status".into(), Json::Str("ok".into())),
             (
@@ -588,7 +599,7 @@ impl Service {
     /// request reads warm bytes from disk even before memory fills.
     /// Errors are protocol-kind (a corrupt batch) or analysis-kind
     /// (local I/O).
-    pub(crate) fn apply_replica_batch(&self, batch: &[u8]) -> Result<Json, ServiceError> {
+    fn apply_replica_batch(&self, batch: &[u8]) -> Result<Json, ServiceError> {
         let Some(tier) = &self.tier else {
             return Err(ServiceError::new(
                 ErrorKind::Protocol,
@@ -667,65 +678,151 @@ impl Service {
     /// come back as structured `protocol` errors. Each frame gets a trace
     /// with per-phase spans; when [`ServiceConfig::slow_log_micros`] is
     /// set, requests over the threshold log the span breakdown to stderr.
+    ///
+    /// The calling thread waits for queued work until the request's
+    /// deadline and answers `timeout` itself when it passes.
     pub fn handle_frame(&self, frame: &[u8]) -> FrameResponse {
         let accepted = Instant::now();
-        let trace = Trace::start(self.next_trace_id.fetch_add(1, Ordering::Relaxed));
-        let (id, outcome, is_shutdown) = with_current(&trace, || {
-            let decoded = {
-                let _span = observed_span("decode", &self.ins.phase_decode);
-                Request::decode(frame)
-            };
-            match decoded {
-                Err((id, e)) => (id, Err(e), false),
-                Ok(req) => {
-                    let id = req.id.clone();
-                    let is_shutdown = req.verb == Verb::Shutdown;
-                    (id, self.dispatch(req, accepted), is_shutdown)
-                }
-            }
-        });
-        self.finish_json(&trace, accepted, &id, outcome, is_shutdown)
+        let trace = self.begin_trace();
+        let req = match self.decode_json(&trace, frame) {
+            Ok(req) => req,
+            Err((id, e)) => return self.finish_json(&trace, accepted, &id, Err(e)),
+        };
+        let cancel = CancelToken::new();
+        let (tx, rx) = mpsc::channel();
+        let queued = self.dispatch(
+            req.body,
+            req.deadline_ms,
+            accepted,
+            cancel.clone(),
+            Arc::clone(&trace),
+            Box::new(move |outcome| {
+                // The waiter may have timed out and gone; that is fine.
+                let _ = tx.send(outcome);
+            }),
+        );
+        let outcome = match queued {
+            // Answered inline: the outcome is already in the channel.
+            None => rx.recv().unwrap_or_else(|_| Err(shutting_down())),
+            Some(deadline) => wait_for(&rx, accepted, deadline, &cancel),
+        };
+        self.finish_json(&trace, accepted, &req.id, outcome)
     }
 
-    /// Counts and encodes one finished JSON request: outcome counters,
-    /// the latency histogram, the slow-request log. Shared by the
-    /// blocking [`Service::handle_frame`] and the event-driven
-    /// [`Service::handle_frame_async`], so both transports feed the same
-    /// instruments.
-    pub(crate) fn finish_json(
+    /// The nonblocking counterpart of [`Service::handle_frame`] for the
+    /// event-driven server: cheap verbs are answered inline (`respond` is
+    /// called before this returns), solver verbs go through the same
+    /// bounded queue and worker pool with `respond` called from the
+    /// worker when the job completes. `respond` is called exactly once.
+    ///
+    /// `cancel` is the caller's token: the event server hands each frame
+    /// its connection's token, so a teardown cancels everything that
+    /// connection still has queued or in flight. Deadlines are enforced
+    /// by the worker when it picks the job up (and by the queue bound
+    /// before that), not by a waiting transport thread — there is none.
+    pub fn handle_frame_async(
+        self: &Arc<Self>,
+        frame: &[u8],
+        cancel: CancelToken,
+        respond: Box<dyn FnOnce(FrameResponse) + Send>,
+    ) {
+        let accepted = Instant::now();
+        let trace = self.begin_trace();
+        let req = match self.decode_json(&trace, frame) {
+            Ok(req) => req,
+            Err((id, e)) => return respond(self.finish_json(&trace, accepted, &id, Err(e))),
+        };
+        let svc = Arc::clone(self);
+        let done_trace = Arc::clone(&trace);
+        let id = req.id;
+        self.dispatch(
+            req.body,
+            req.deadline_ms,
+            accepted,
+            cancel,
+            trace,
+            Box::new(move |outcome| respond(svc.finish_json(&done_trace, accepted, &id, outcome))),
+        );
+    }
+
+    fn decode_json(
+        &self,
+        trace: &Arc<Trace>,
+        frame: &[u8],
+    ) -> Result<crate::proto::Request, (Json, ServiceError)> {
+        with_current(trace, || {
+            let _span = observed_span("decode", &self.ins.phase_decode);
+            crate::proto::Request::decode(frame)
+        })
+    }
+
+    /// Encodes, counts and times one finished JSON request. Shared by
+    /// [`Service::handle_frame`] and [`Service::handle_frame_async`], so
+    /// both transports feed the same instruments.
+    fn finish_json(
         &self,
         trace: &Arc<Trace>,
         accepted: Instant,
         id: &Json,
-        outcome: Result<Json, ServiceError>,
-        is_shutdown: bool,
+        outcome: Result<Outcome, ServiceError>,
     ) -> FrameResponse {
-        let (line, outcome_name, is_shutdown) = match &outcome {
-            Ok(result) => {
-                self.ins.ok.inc();
-                (encode_ok(id, result.clone()), "ok", is_shutdown)
-            }
-            Err(e) => {
-                self.counter_for(e.kind).inc();
-                (encode_err(id, e), e.kind.as_str(), false)
-            }
+        let shutdown = matches!(outcome, Ok(Outcome::Shutdown));
+        let counted = self.count_outcome(&outcome);
+        let line = match outcome {
+            Ok(outcome) => encode_ok(id, self.json_result(outcome)),
+            Err(e) => encode_err(id, &e),
         };
-        // Cancelled work answered nobody in time: like oversized frames it
-        // keeps its own counters and stays out of `requests` and the
-        // latency histogram, where a flood of dead requests would otherwise
-        // masquerade as a latency regression.
-        if !matches!(&outcome, Err(e) if e.kind == ErrorKind::Cancelled) {
-            self.observe_request(trace, accepted, outcome_name);
-        }
-        FrameResponse {
-            line,
-            shutdown: is_shutdown,
+        self.observe_outcome(trace, accepted, counted);
+        FrameResponse { line, shutdown }
+    }
+
+    /// The JSON encoder of an [`Outcome`]: the `result` value of an `ok`
+    /// response line.
+    fn json_result(&self, outcome: Outcome) -> Json {
+        match outcome {
+            Outcome::Text(json) => json,
+            Outcome::Metrics => self.metrics_json(),
+            Outcome::Shutdown => Json::Str("shutting down".into()),
+            Outcome::Analyze(r) => analyze_result_json(&r),
+            Outcome::Session(session, report) => session_result_json(session, &report),
+            Outcome::Delta(d) => delta_result_json(&d),
         }
     }
 
-    /// The shared per-request bookkeeping: `requests` counter, latency
-    /// histogram, slow-request log.
-    pub(crate) fn observe_request(&self, trace: &Arc<Trace>, accepted: Instant, outcome: &str) {
+    /// Bumps the outcome counter of a finished request; returns the
+    /// outcome name for [`Service::observe_outcome`], or `None` for
+    /// cancelled work.
+    pub(crate) fn count_outcome(
+        &self,
+        outcome: &Result<Outcome, ServiceError>,
+    ) -> Option<&'static str> {
+        match outcome {
+            Ok(_) => {
+                self.ins.ok.inc();
+                Some("ok")
+            }
+            Err(e) => {
+                self.counter_for(e.kind).inc();
+                // Cancelled work answered nobody in time: like oversized
+                // frames it keeps its own counters and stays out of
+                // `requests` and the latency histogram, where a flood of
+                // dead requests would otherwise masquerade as a latency
+                // regression.
+                (e.kind != ErrorKind::Cancelled).then_some(e.kind.as_str())
+            }
+        }
+    }
+
+    /// The shared per-request bookkeeping after encoding: `requests`
+    /// counter, latency histogram, slow-request log — skipped for
+    /// cancelled work (`outcome` is `None`).
+    pub(crate) fn observe_outcome(
+        &self,
+        trace: &Arc<Trace>,
+        accepted: Instant,
+        outcome: Option<&str>,
+    ) {
+        let Some(outcome) = outcome else { return };
         self.ins.requests.inc();
         let elapsed_us = accepted.elapsed().as_micros() as u64;
         self.ins.latency.observe(elapsed_us);
@@ -742,79 +839,135 @@ impl Service {
         }
     }
 
-    /// The nonblocking counterpart of [`Service::handle_frame`] for the
-    /// event-driven server: cheap verbs are answered inline (`respond` is
-    /// called before this returns), `analyze` goes through the same
-    /// bounded queue and worker pool with `respond` called from the
-    /// worker when the job completes. `respond` is called exactly once.
-    ///
-    /// Deadline semantics differ from the blocking path in one way: the
-    /// deadline is enforced by the worker when it picks the job up (and
-    /// by the queue bound before that), not by a waiting transport
-    /// thread — there is none.
-    pub fn handle_frame_async(
-        self: &Arc<Self>,
-        frame: &[u8],
-        respond: Box<dyn FnOnce(FrameResponse) + Send>,
-    ) {
-        self.handle_frame_async_ctrl(frame, CancelToken::new(), respond)
+    /// The one dispatcher both protocols share. Cheap verbs and
+    /// fingerprint-cache hits are answered inline — `done` runs before
+    /// this returns; `analyze`/`custom`/`open`/`delta` are validated and
+    /// queued, with `done` called from a worker. `done` is called exactly
+    /// once either way. Returns the job's deadline when the request was
+    /// queued, `None` when it was answered inline.
+    pub(crate) fn dispatch(
+        &self,
+        req: WireRequest,
+        budget_ms: Option<u64>,
+        accepted: Instant,
+        cancel: CancelToken,
+        trace: Arc<Trace>,
+        done: Reply,
+    ) -> Option<Duration> {
+        let deadline = self.effective_deadline(budget_ms);
+        let work = match with_current(&trace, || self.admit(req)) {
+            Ok(Step::Queue(work)) => work,
+            Ok(Step::Answer(outcome)) => {
+                done(Ok(outcome));
+                return None;
+            }
+            Err(e) => {
+                done(Err(e));
+                return None;
+            }
+        };
+        match self.enqueue_job(work, accepted, deadline, cancel, trace, done) {
+            Ok(()) => Some(deadline),
+            Err((e, done)) => {
+                done(Err(e));
+                None
+            }
+        }
     }
 
-    /// [`Service::handle_frame_async`] with a caller-owned [`CancelToken`]:
-    /// the event server hands each frame its connection's token, so a
-    /// teardown cancels everything that connection still has queued or
-    /// in flight.
-    pub fn handle_frame_async_ctrl(
-        self: &Arc<Self>,
-        frame: &[u8],
-        cancel: CancelToken,
-        respond: Box<dyn FnOnce(FrameResponse) + Send>,
-    ) {
-        let accepted = Instant::now();
-        let trace = Trace::start(self.next_trace_id.fetch_add(1, Ordering::Relaxed));
-        let decoded = with_current(&trace, || {
-            let _span = observed_span("decode", &self.ins.phase_decode);
-            Request::decode(frame)
-        });
-        let req = match decoded {
-            Err((id, e)) => {
-                respond(self.finish_json(&trace, accepted, &id, Err(e), false));
-                return;
+    /// Decides what a request needs: validates its fields against the
+    /// configured defaults, answers cheap verbs and fingerprint-cache
+    /// hits, and turns solver verbs into queued [`Work`].
+    fn admit(&self, req: WireRequest) -> Result<Step, ServiceError> {
+        let defaults = &self.config.engine;
+        let protocol = |message: String| ServiceError::new(ErrorKind::Protocol, message);
+        Ok(match req {
+            WireRequest::Ping { .. } => Step::Answer(Outcome::Text(Json::Str("pong".into()))),
+            WireRequest::Health { .. } => Step::Answer(Outcome::Text(self.health_json())),
+            WireRequest::Stats { .. } => Step::Answer(Outcome::Text(self.stats_json())),
+            WireRequest::Metrics { .. } => Step::Answer(Outcome::Metrics),
+            WireRequest::Compact { .. } => Step::Answer(Outcome::Text(self.compact_store()?)),
+            WireRequest::Replicate { batch, .. } => {
+                Step::Answer(Outcome::Text(self.apply_replica_batch(&batch)?))
             }
-            Ok(req) => req,
-        };
-        let id = req.id.clone();
-        if !matches!(
-            req.verb,
-            Verb::Analyze | Verb::Custom | Verb::Open | Verb::Delta
-        ) {
-            let is_shutdown = req.verb == Verb::Shutdown;
-            let outcome = with_current(&trace, || self.dispatch_cheap(&req));
-            respond(self.finish_json(&trace, accepted, &id, outcome, is_shutdown));
-            return;
-        }
-        let deadline = self.effective_deadline(req.deadline_ms);
-        let work = self.work_of(req);
-        let svc = Arc::clone(self);
-        let trace_done = Arc::clone(&trace);
-        self.submit_async(
-            work,
-            accepted,
-            deadline,
-            cancel,
-            trace,
-            Box::new(move |outcome| {
-                let outcome = outcome.map(|o| o.to_json());
-                respond(svc.finish_json(&trace_done, accepted, &id, outcome, false));
+            WireRequest::Shutdown { .. } => {
+                self.shutdown();
+                Step::Answer(Outcome::Shutdown)
+            }
+            WireRequest::Analyze(a) => {
+                let problems = match a.problems {
+                    None => defaults.problems,
+                    Some(bits) => ProblemSet::from_bits(bits)
+                        .ok_or_else(|| protocol(format!("bad problem-set bits {bits:#06b}")))?,
+                };
+                let distance_bound = a.distance_bound.unwrap_or(defaults.dep_max_distance);
+                let probe = |fp| {
+                    self.engine
+                        .analyze_by_fingerprint(fp, problems, distance_bound)
+                };
+                if let Some(hit) = probe_hit(a.fingerprint, probe) {
+                    return Ok(Step::Answer(hit));
+                }
+                Step::Queue(Work::Analyze {
+                    program: program_source(a.source)?,
+                    problems,
+                    distance_bound,
+                })
+            }
+            WireRequest::Custom(c) => {
+                let spec = CustomSpec::from_bits(c.spec)
+                    .ok_or_else(|| protocol(format!("bad custom-spec bits {:#08b}", c.spec)))?;
+                // Custom problems come from untrusted callers experimenting
+                // with the framework: cap the distance lattice the solve
+                // will actually use, whoever chose the bound.
+                let distance_bound = c.distance_bound.unwrap_or(defaults.dep_max_distance);
+                if distance_bound > CustomSpec::MAX_DISTANCE_BOUND {
+                    return Err(protocol(format!(
+                        "distance bound {distance_bound} exceeds the {} cap",
+                        CustomSpec::MAX_DISTANCE_BOUND
+                    )));
+                }
+                let probe = |fp| {
+                    self.engine
+                        .analyze_custom_by_fingerprint(fp, spec, distance_bound)
+                };
+                if let Some(hit) = probe_hit(c.fingerprint, probe) {
+                    return Ok(Step::Answer(hit));
+                }
+                Step::Queue(Work::Custom {
+                    program: program_source(c.source)?,
+                    spec,
+                    distance_bound,
+                })
+            }
+            WireRequest::Open { source, .. } => Step::Queue(Work::Open {
+                program: utf8(source, "program source")?,
             }),
-        );
+            // The carried fingerprint is the router's shard key; the node
+            // itself resolves the session by id alone.
+            WireRequest::Delta {
+                session,
+                stmt,
+                text,
+                ..
+            } => Step::Queue(Work::Delta {
+                session,
+                edit: Edit {
+                    // An out-of-u32-range id cannot name any statement;
+                    // saturating keeps it a clean "no such statement"
+                    // edit error instead of a silent wrap onto one.
+                    stmt: StmtId(u32::try_from(stmt).unwrap_or(u32::MAX)),
+                    text: utf8(text, "edit text")?,
+                },
+            }),
+        })
     }
 
     /// Resolves a request's effective deadline: `min(client budget, the
     /// server's own cap)`. A client can only tighten the deadline, never
     /// extend it; requests carrying a budget are counted so operators can
     /// see propagation working end to end.
-    pub(crate) fn effective_deadline(&self, client_ms: Option<u64>) -> Duration {
+    fn effective_deadline(&self, client_ms: Option<u64>) -> Duration {
         match client_ms {
             Some(ms) => {
                 self.ins.deadline_propagated.inc();
@@ -852,7 +1005,7 @@ impl Service {
         &self.ins
     }
 
-    pub(crate) fn counter_for(&self, kind: ErrorKind) -> &Counter {
+    fn counter_for(&self, kind: ErrorKind) -> &Counter {
         match kind {
             ErrorKind::Parse => &self.ins.parse_errors,
             ErrorKind::Analysis => &self.ins.analysis_errors,
@@ -864,79 +1017,9 @@ impl Service {
         }
     }
 
-    fn dispatch(&self, req: Request, accepted: Instant) -> Result<Json, ServiceError> {
-        match req.verb {
-            Verb::Analyze | Verb::Custom | Verb::Open | Verb::Delta => {
-                let deadline = self.effective_deadline(req.deadline_ms);
-                let work = self.work_of(req);
-                self.submit_and_wait(work, accepted, deadline)
-                    .map(|o| o.to_json())
-            }
-            _ => self.dispatch_cheap(&req),
-        }
-    }
-
-    /// Builds the queued [`Work`] for a solver verb, resolving per-request
-    /// fields against the configured defaults. The decode layer guarantees
-    /// the per-verb required fields are present.
-    pub(crate) fn work_of(&self, req: Request) -> Work {
-        match req.verb {
-            Verb::Analyze => Work::Analyze {
-                program: req.program.expect("decode guarantees program for analyze"),
-                problems: req.problems.unwrap_or(self.config.engine.problems),
-                distance_bound: req
-                    .distance_bound
-                    .unwrap_or(self.config.engine.dep_max_distance),
-            },
-            Verb::Custom => Work::Custom {
-                program: req.program.expect("decode guarantees program for custom"),
-                spec: req.spec.expect("decode guarantees spec for custom"),
-                distance_bound: req
-                    .distance_bound
-                    .unwrap_or(self.config.engine.dep_max_distance),
-            },
-            Verb::Open => Work::Open {
-                program: req.program.expect("decode guarantees program for open"),
-            },
-            Verb::Delta => {
-                let stmt = req.stmt.expect("decode guarantees stmt for delta");
-                Work::Delta {
-                    session: req.session.expect("decode guarantees session for delta"),
-                    edit: Edit {
-                        // An out-of-u32-range id cannot name any statement;
-                        // saturating keeps it a clean "no such statement"
-                        // edit error instead of a silent wrap onto one.
-                        stmt: StmtId(u32::try_from(stmt).unwrap_or(u32::MAX)),
-                        text: req.text.expect("decode guarantees text for delta"),
-                    },
-                }
-            }
-            _ => unreachable!("only solver verbs carry queued work"),
-        }
-    }
-
-    /// Every verb that answers without touching the worker pool.
-    /// The solver verbs must not come through here.
-    fn dispatch_cheap(&self, req: &Request) -> Result<Json, ServiceError> {
-        match req.verb {
-            Verb::Ping => Ok(Json::Str("pong".into())),
-            Verb::Health => Ok(self.health_json()),
-            Verb::Stats => Ok(self.stats_json()),
-            Verb::Metrics => Ok(self.metrics_json()),
-            Verb::Compact => self.compact_store(),
-            Verb::Shutdown => {
-                self.shutdown();
-                Ok(Json::Str("shutting down".into()))
-            }
-            Verb::Analyze | Verb::Custom | Verb::Open | Verb::Delta => {
-                unreachable!("solver verbs are dispatched through the worker pool")
-            }
-        }
-    }
-
     /// The `compact` verb: flushes pending appends, rewrites live records
     /// into fresh segments, and reports what was reclaimed.
-    pub(crate) fn compact_store(&self) -> Result<Json, ServiceError> {
+    fn compact_store(&self) -> Result<Json, ServiceError> {
         let Some(tier) = &self.tier else {
             return Err(ServiceError::new(
                 ErrorKind::Protocol,
@@ -957,64 +1040,6 @@ impl Service {
         ]))
     }
 
-    fn submit_and_wait(
-        &self,
-        work: Work,
-        accepted: Instant,
-        deadline: Duration,
-    ) -> Result<JobOutput, ServiceError> {
-        let trace = arrayflow_obs::trace::current().expect("handle_frame installed a trace");
-
-        let cancel = CancelToken::new();
-        let (tx, rx) = mpsc::channel();
-        self.enqueue_job(
-            work,
-            accepted,
-            deadline,
-            cancel.clone(),
-            trace,
-            Box::new(move |outcome| {
-                // The waiter may have timed out and gone; that is fine.
-                let _ = tx.send(outcome);
-            }),
-        )
-        .map_err(|(e, _reply)| e)?;
-
-        // The deadline is measured from frame acceptance, not from
-        // enqueue, so decode time cannot silently extend the budget.
-        let remaining = deadline.saturating_sub(accepted.elapsed());
-        if remaining.is_zero() {
-            // The budget was gone before we could wait. A worker will
-            // shed the queued job, but from the blocking caller's view
-            // this is a plain deadline miss — answer `timeout` without
-            // racing the worker's `cancelled` reply for the channel.
-            cancel.cancel();
-            return Err(ServiceError::new(
-                ErrorKind::Timeout,
-                format!("deadline of {} ms exceeded", deadline.as_millis()),
-            ));
-        }
-        match rx.recv_timeout(remaining) {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Nobody is waiting for this answer anymore: flag the job
-                // so a worker sheds it at dequeue (or mid-solve) instead
-                // of finishing work whose reply lands in a dead channel.
-                cancel.cancel();
-                Err(ServiceError::new(
-                    ErrorKind::Timeout,
-                    format!("deadline of {} ms exceeded", deadline.as_millis()),
-                ))
-            }
-            // Workers always reply before exiting (the queue is drained on
-            // shutdown), so disconnection means the pool is gone entirely.
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServiceError::new(
-                ErrorKind::Overloaded,
-                "service is shutting down",
-            )),
-        }
-    }
-
     /// Pushes a job onto the bounded queue. On `Ok` the `reply` closure is
     /// guaranteed to be invoked exactly once by a worker; on rejection
     /// (`Overloaded`: queue full or service stopping) the closure is
@@ -1032,10 +1057,7 @@ impl Service {
         {
             let mut q = self.queue.lock().unwrap();
             if self.is_shutdown() {
-                return Err((
-                    ServiceError::new(ErrorKind::Overloaded, "service is shutting down"),
-                    reply,
-                ));
+                return Err((shutting_down(), reply));
             }
             if q.len() >= self.config.queue_capacity {
                 return Err((
@@ -1059,25 +1081,6 @@ impl Service {
         }
         self.job_ready.notify_one();
         Ok(())
-    }
-
-    /// Fire-and-forget job submission for the event-driven server: no
-    /// thread blocks waiting, so the deadline is enforced only by the
-    /// worker when it dequeues the job. `reply` is invoked exactly once —
-    /// inline (before this returns) when the queue rejects the job, from
-    /// a worker otherwise.
-    pub(crate) fn submit_async(
-        &self,
-        work: Work,
-        accepted: Instant,
-        deadline: Duration,
-        cancel: CancelToken,
-        trace: Arc<Trace>,
-        reply: Reply,
-    ) {
-        if let Err((e, reply)) = self.enqueue_job(work, accepted, deadline, cancel, trace, reply) {
-            reply(Err(e));
-        }
     }
 
     fn worker_loop(self: Arc<Self>) {
@@ -1185,7 +1188,7 @@ impl Service {
         )
     }
 
-    fn run_job(&self, job: &Job) -> Result<JobOutput, ServiceError> {
+    fn run_job(&self, job: &Job) -> Result<Outcome, ServiceError> {
         // Dequeue-time shedding: a job whose client is gone or whose
         // budget drained while it sat queued is dropped for the cost of
         // two loads — the metastable-failure amplifier (a queue full of
@@ -1228,7 +1231,7 @@ impl Service {
                     }
                     return Err(ServiceError::new(ErrorKind::Analysis, e.to_string()));
                 }
-                Ok(JobOutput::Analyze(result))
+                Ok(Outcome::Analyze(result))
             }
             Work::Custom {
                 program,
@@ -1249,7 +1252,7 @@ impl Service {
                     }
                     return Err(ServiceError::new(ErrorKind::Analysis, e.to_string()));
                 }
-                Ok(JobOutput::Analyze(result))
+                Ok(Outcome::Analyze(result))
             }
             Work::Open { program } => {
                 let program = parse(program)?;
@@ -1260,7 +1263,7 @@ impl Service {
                         Some(passes) => self.shed_job(job, passes, "mid-analysis"),
                         None => ServiceError::new(ErrorKind::Analysis, e.to_string()),
                     })?;
-                Ok(JobOutput::Session(session, report))
+                Ok(Outcome::Session(session, report))
             }
             Work::Delta { session, edit } => {
                 // Rejected edits are analysis-kind errors (the frame was
@@ -1284,7 +1287,7 @@ impl Service {
                         };
                         ServiceError::new(kind, e.to_string())
                     })?;
-                Ok(JobOutput::Delta(delta))
+                Ok(Outcome::Delta(delta))
             }
         }
     }
@@ -1329,7 +1332,7 @@ impl Service {
 
     /// The `stats` verb payload: engine and cache one-liners (their
     /// `Display` impls) plus the structured service counters.
-    pub(crate) fn stats_json(&self) -> Json {
+    fn stats_json(&self) -> Json {
         let e = self.engine_stats();
         let s = self.stats();
         let errors = Json::Obj(vec![
@@ -1514,6 +1517,87 @@ fn histogram_json(h: &HistogramSnapshot) -> Json {
         ("count".into(), Json::Num(h.count as f64)),
         ("sum".into(), Json::Num(h.sum as f64)),
     ])
+}
+
+/// The blocking transports' waiter for a queued job: its outcome, or a
+/// `timeout` once the deadline has passed. The deadline is measured from
+/// frame acceptance, not from enqueue, so decode time cannot silently
+/// extend the budget.
+fn wait_for(
+    rx: &mpsc::Receiver<Result<Outcome, ServiceError>>,
+    accepted: Instant,
+    deadline: Duration,
+    cancel: &CancelToken,
+) -> Result<Outcome, ServiceError> {
+    // A budget already gone is a plain deadline miss: answer `timeout`
+    // without racing the worker's `cancelled` reply for the channel.
+    let remaining = deadline.saturating_sub(accepted.elapsed());
+    let waited = if remaining.is_zero() {
+        Err(mpsc::RecvTimeoutError::Timeout)
+    } else {
+        rx.recv_timeout(remaining)
+    };
+    match waited {
+        Ok(outcome) => outcome,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            // Nobody is waiting for this answer anymore: flag the job so a
+            // worker sheds it at dequeue (or mid-solve) instead of
+            // finishing work whose reply lands in a dead channel.
+            cancel.cancel();
+            Err(ServiceError::new(
+                ErrorKind::Timeout,
+                format!("deadline of {} ms exceeded", deadline.as_millis()),
+            ))
+        }
+        // Workers always reply before exiting (the queue is drained on
+        // shutdown), so disconnection means the pool is gone entirely.
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err(shutting_down()),
+    }
+}
+
+/// The `overloaded` answer of a service that stopped accepting work.
+fn shutting_down() -> ServiceError {
+    ServiceError::new(ErrorKind::Overloaded, "service is shutting down")
+}
+
+/// Answers a fingerprint-first request from the cache tiers before any
+/// parse work, when the client sent a fingerprint and `probe` hits.
+fn probe_hit(
+    fingerprint: Option<[u8; 16]>,
+    probe: impl FnOnce(Fingerprint) -> Option<Arc<AnalysisReport>>,
+) -> Option<Outcome> {
+    let fp = Fingerprint(u128::from_le_bytes(fingerprint?));
+    let report = probe(fp)?;
+    Some(Outcome::Analyze(BatchResult {
+        index: 0,
+        loops: vec![LoopReport {
+            fingerprint: fp,
+            report,
+        }],
+        error: None,
+        stats: QueryStats {
+            cache_hits: 1,
+            ..QueryStats::default()
+        },
+    }))
+}
+
+/// The source a cache miss must analyze: a fingerprint-only request that
+/// missed cannot be answered.
+fn program_source(source: Option<Vec<u8>>) -> Result<String, ServiceError> {
+    let source = source.ok_or_else(|| {
+        ServiceError::new(
+            ErrorKind::Analysis,
+            "unknown fingerprint (supply program source to analyze)",
+        )
+    })?;
+    utf8(source, "program source")
+}
+
+/// DSL text as a string; invalid UTF-8 is a `parse` error naming `what`.
+fn utf8(bytes: Vec<u8>, what: &str) -> Result<String, ServiceError> {
+    String::from_utf8(bytes)
+        .map_err(|_| ServiceError::new(ErrorKind::Parse, format!("{what} is not valid UTF-8")))
 }
 
 impl Drop for Service {

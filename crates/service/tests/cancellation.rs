@@ -87,7 +87,7 @@ fn analyze_frame(id: usize, program: &str) -> String {
 /// cancel token and returns the response line.
 fn async_json(svc: &std::sync::Arc<Service>, frame: &str, cancel: CancelToken) -> String {
     let (tx, rx) = mpsc::channel();
-    svc.handle_frame_async_ctrl(
+    svc.handle_frame_async(
         frame.as_bytes(),
         cancel,
         Box::new(move |resp| {

@@ -275,6 +275,24 @@ impl Request {
         }
     }
 
+    /// The request id, mutably: a forwarding hop (the cluster router)
+    /// re-stamps it with its own.
+    pub fn id_mut(&mut self) -> &mut u64 {
+        match self {
+            Request::Ping { id }
+            | Request::Stats { id }
+            | Request::Metrics { id }
+            | Request::Compact { id }
+            | Request::Shutdown { id }
+            | Request::Health { id }
+            | Request::Replicate { id, .. }
+            | Request::Open { id, .. }
+            | Request::Delta { id, .. } => id,
+            Request::Analyze(a) => &mut a.id,
+            Request::Custom(c) => &mut c.id,
+        }
+    }
+
     /// Encodes the frame payload (not the frame itself).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
